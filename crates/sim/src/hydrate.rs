@@ -329,6 +329,10 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
+    /// Golden ledger (SHA-256 of the canonical bytes) of the seed-7 run
+    /// in `same_seed_runs_are_byte_identical_including_hydrate_counters`.
+    const SEED_7_LEDGER: &str = "ae20390684cb54154a4677003c96e4a8eced126f845bf9889dcac5f963f62f35";
+
     fn tmp(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("apks-hydrate-sim-{tag}-{}", std::process::id()));
@@ -400,6 +404,11 @@ mod tests {
         let a = run_hydrate_sim(&config, &d1).unwrap();
         let b = run_hydrate_sim(&config, &d2).unwrap();
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());
+        let digest: String = apks_math::sha256::sha256(&a.canonical_bytes())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(digest, SEED_7_LEDGER, "golden ledger moved");
         let _ = std::fs::remove_dir_all(&d1);
         let _ = std::fs::remove_dir_all(&d2);
     }

@@ -34,3 +34,13 @@ pub fn phr_system() -> (ApksSystem, PhrConfig) {
     let schema: Arc<Schema> = phr_schema(&cfg).expect("valid schema");
     (ApksSystem::new(CurveParams::fast(), schema), cfg)
 }
+
+/// Hex SHA-256 of a scenario's canonical bytes: the golden-ledger
+/// digest the same-seed suites pin, so a refactor that moves any byte
+/// of a ledger fails loudly instead of only comparing two fresh runs.
+pub fn ledger_digest(bytes: &[u8]) -> String {
+    apks_math::sha256::sha256(bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}

@@ -7,7 +7,11 @@
 //! contract fields an artifact consumer depends on.
 
 use apks_sim::chaos_net::{run_chaos_net, ChaosNetConfig};
+use apks_tests::ledger_digest;
 use std::path::PathBuf;
+
+/// Golden ledger of the same-seed run of [`config`].
+const CHAOS_NET_LEDGER: &str = "8bca26aac2b20940a3d9cccedf733fc77f4f0c304962aae2fa1b7341b1edadee";
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("apks-chaos-tier-{tag}-{}", std::process::id()));
@@ -61,6 +65,7 @@ fn same_seed_chaos_net_runs_are_byte_identical() {
     let a = run_chaos_net(&config(), &d1).unwrap();
     let b = run_chaos_net(&config(), &d2).unwrap();
     assert_eq!(a.canonical_bytes(), b.canonical_bytes());
+    assert_eq!(ledger_digest(&a.canonical_bytes()), CHAOS_NET_LEDGER);
     let _ = std::fs::remove_dir_all(&d1);
     let _ = std::fs::remove_dir_all(&d2);
 }

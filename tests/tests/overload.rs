@@ -14,7 +14,11 @@
 //!    every completed request's hits are a subset of its unloaded twin's.
 
 use apks_sim::overload::{run_overload, OverloadConfig, RequestOutcome};
+use apks_tests::ledger_digest;
 use std::sync::OnceLock;
+
+/// Golden ledger of the default overloaded run ([`overloaded`]).
+const DEFAULT_LEDGER: &str = "8f802fc784f804138f5538b63b739e57252e8e4439ad932f2ef3ff3ddce1e472";
 
 /// Config with ingest faults enabled so the proxy breakers see traffic
 /// too — their end-of-run states are part of the canonical bytes.
@@ -48,6 +52,10 @@ fn same_seed_overload_runs_are_byte_identical() {
         a.canonical_bytes(),
         b.canonical_bytes(),
         "same-seed overload runs must replay exactly, metrics included"
+    );
+    assert_eq!(
+        ledger_digest(&overloaded().canonical_bytes()),
+        DEFAULT_LEDGER
     );
     assert_eq!(a.arrivals, 32);
     assert!(

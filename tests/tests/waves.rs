@@ -19,9 +19,14 @@ use apks_core::fault::{FaultConfig, FaultContext, FaultPlan, RetryPolicy, Virtua
 use apks_core::{ApksSystem, Budget, Deadline, FieldValue, Query, QueryPolicy, Record, Schema};
 use apks_curve::CurveParams;
 use apks_sim::overload::{run_overload, run_overload_batched, OverloadConfig, RequestOutcome};
+use apks_tests::ledger_digest;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Golden ledger of the seed-21 batched run in
+/// `same_seed_batched_overload_runs_are_byte_identical`.
+const BATCHED_LEDGER: &str = "ecc99e090413e22f1d84a86fe9b3cc633f346dcc7edbb9a2b43a7933d618d28a";
 
 /// A small deployment: 5 documents, 3 distinct query shapes.
 fn deployment() -> (CloudServer, Vec<apks_authz::SignedCapability>, usize) {
@@ -164,6 +169,7 @@ fn same_seed_batched_overload_runs_are_byte_identical() {
         b.canonical_bytes(),
         "same-seed batched runs must replay exactly, metrics included"
     );
+    assert_eq!(ledger_digest(&a.canonical_bytes()), BATCHED_LEDGER);
     assert!(a.admitted > 0, "some requests must be served");
     assert!(
         a.metrics.counter("cloud.wave.scans").unwrap_or(0) > 0,

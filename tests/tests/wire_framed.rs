@@ -7,6 +7,11 @@
 use apks_client::TransportCost;
 use apks_sim::framed::run_overload_framed;
 use apks_sim::overload::{run_overload, OverloadConfig};
+use apks_tests::ledger_digest;
+
+/// Golden ledger of the costed framed run in
+/// `framed_runs_are_deterministic`.
+const FRAMED_LEDGER: &str = "b3b15e41e3d5c2d9233f0fed3d92d1988e2dd043d82fdad98dac258d9fe32cd8";
 
 fn small_config() -> OverloadConfig {
     OverloadConfig {
@@ -64,6 +69,7 @@ fn framed_runs_are_deterministic() {
         b.canonical_bytes(),
         "same-seed framed runs must be byte-identical end to end"
     );
+    assert_eq!(ledger_digest(&a.canonical_bytes()), FRAMED_LEDGER);
 
     // a different seed produces different wire traffic
     let other = run_overload_framed(
