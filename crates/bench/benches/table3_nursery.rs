@@ -35,7 +35,7 @@ fn bench_dataset_scan(c: &mut Criterion) {
             BenchmarkId::new(format!("scan_{SAMPLE}_rows"), n),
             &n,
             |b, _| {
-                b.iter(|| server.scan(&cap, 1).unwrap());
+                b.iter(|| server.scan(&cap).unwrap());
             },
         );
     }

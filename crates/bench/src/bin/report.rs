@@ -425,14 +425,14 @@ fn hydrate_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     }
 
     // warm up code paths once in memory, then measure
-    let (expect_hits, _) = memory.scan(&cap, 1).unwrap();
+    let (expect_hits, _) = memory.scan(&cap).unwrap();
     let t_mem = time_mean(3, || {
-        memory.scan(&cap, 1).unwrap();
+        memory.scan(&cap).unwrap();
     });
-    let (t_cold, (cold_hits, _)) = time_once(|| paged.scan(&cap, 1).unwrap());
+    let (t_cold, (cold_hits, _)) = time_once(|| paged.scan(&cap).unwrap());
     assert_eq!(cold_hits, expect_hits, "disk-backed scan diverged");
     let t_warm = time_mean(3, || {
-        paged.scan(&cap, 1).unwrap();
+        paged.scan(&cap).unwrap();
     });
     let per_doc = |t: Duration| t.as_secs_f64() * 1e6 / DOCS as f64;
 
@@ -649,9 +649,9 @@ fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
         .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
         .unwrap();
 
-    // one unprepared baseline scan, one prepared parallel scan
-    let (_, plain_stats) = server.scan_with_mode(&cap, 1, false).unwrap();
-    let (_, prep_stats) = server.scan(&cap, 2).unwrap();
+    // two scans: the registry accumulates across them
+    let (_, first) = server.scan(&cap).unwrap();
+    let (_, second) = server.scan(&cap).unwrap();
     let snap = server.metrics_snapshot();
 
     println!("```");
@@ -659,7 +659,7 @@ fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     println!("```");
     println!();
     let measured = snap.counter("cloud.scan.pairings").unwrap_or(0);
-    let legacy = (plain_stats.pairings + prep_stats.pairings) as u64;
+    let legacy = (first.pairings + second.pairings) as u64;
     println!(
         "pairing cross-check: telemetry {measured} vs SearchStats {legacy} — {}",
         if measured == legacy {
@@ -681,9 +681,9 @@ fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
 /// the cloud returns instead of silently dropping documents.
 fn resilience_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     use apks_authz::IbsAuthority;
-    use apks_cloud::CloudServer;
+    use apks_cloud::{CloudServer, WaveRequest};
     use apks_core::fault::{FaultConfig, FaultContext, FaultPlan, RetryPolicy, VirtualClock};
-    use apks_core::{ApksSystem, FieldValue, QueryPolicy, Record, Schema};
+    use apks_core::{ApksSystem, Budget, Deadline, FieldValue, QueryPolicy, Record, Schema};
 
     const DOCS: usize = 40;
     println!();
@@ -713,7 +713,7 @@ fn resilience_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
         .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
         .unwrap();
 
-    let (healthy, healthy_stats) = server.scan(&cap, 1).unwrap();
+    let (healthy, healthy_stats) = server.scan(&cap).unwrap();
 
     let plan = FaultPlan::new(FaultConfig {
         seed: 7,
@@ -725,7 +725,13 @@ fn resilience_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     let policy = RetryPolicy::default();
     let clock = VirtualClock::default();
     let ctx = FaultContext::new(&plan, &policy, &clock);
-    let degraded = server.scan_degraded(&cap, 1, &ctx).unwrap();
+    let budget = Budget::unlimited();
+    let request = WaveRequest {
+        cap: &cap,
+        deadline: Deadline::NEVER,
+        budget: &budget,
+    };
+    let degraded = server.scan_wave(&[request], &ctx, 0).unwrap().remove(0);
 
     println!("| mode | scanned | matched | skipped | retries | scan time |");
     println!("|------|---------|---------|---------|---------|-----------|");

@@ -106,7 +106,7 @@ commands:
   delegate   --deploy <deploy> --cap <file> --query \"...\" --out <file> [--seed N]
   search     --deploy <deploy> --cap <file> <index-file>...
   transform  --deploy <deploy> --in <partial-index> --out <file>   (APKS+ proxy step)
-  stats      [--docs N] [--threads N] [--seed N] [--json] [--overload] [--batch] [--replication]   (scan an in-memory corpus, print telemetry)
+  stats      [--docs N] [--seed N] [--json] [--overload] [--batch] [--replication]   (scan an in-memory corpus, print telemetry)
   store-stats --dir <path> [--json]   (inspect an on-disk paged segment store)
   wire-sizes [--seed N]   (print the canonical wire size of every protocol type)
   demo       [--seed N]
@@ -378,10 +378,6 @@ fn cmd_stats(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> 
         return cmd_stats_replication(args, out);
     }
     let docs: usize = args.get("docs").and_then(|v| v.parse().ok()).unwrap_or(24);
-    let threads: usize = args
-        .get("threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let mut rng = rng_from(args);
 
     // an in-memory illness/sex deployment: enough to exercise the whole
@@ -415,16 +411,14 @@ fn cmd_stats(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> 
             &mut rng,
         )
         .map_err(|e| CliError(e.to_string()))?;
-    let (hits, stats) = server
-        .search_parallel(&cap, threads)
-        .map_err(|e| CliError(e.to_string()))?;
+    let (hits, stats) = server.search(&cap).map_err(|e| CliError(e.to_string()))?;
     let snap = server.metrics_snapshot();
     if args.has_flag("json") {
         writeln!(out, "{}", snap.to_json())?;
     } else {
         writeln!(
             out,
-            "scanned {} docs with {threads} thread(s): {} matched",
+            "scanned {} docs: {} matched",
             stats.scanned,
             hits.len()
         )?;
@@ -1074,7 +1068,7 @@ mod tests {
 
     #[test]
     fn stats_reports_consistent_pairing_counts() {
-        let out = run_strs(&["stats", "--docs", "6", "--threads", "2", "--seed", "11"]).unwrap();
+        let out = run_strs(&["stats", "--docs", "6", "--seed", "11"]).unwrap();
         assert!(out.contains("scanned 6 docs"));
         assert!(out.contains("cloud.scan.pairings"));
         assert!(out.contains("consistent"), "got:\n{out}");

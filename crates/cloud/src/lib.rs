@@ -2,10 +2,9 @@
 //!
 //! Stores the encrypted indexes contributed by all owners, verifies that a
 //! submitted capability carries a valid identity-based signature from a
-//! *registered* authority (§III), and evaluates `Search` over the store —
-//! sequentially or across threads (§VII-B.4: "if the cloud server have
-//! multiple processors the search computation can be done in a paralleled
-//! way").
+//! *registered* authority (§III), and evaluates `Search` over the store
+//! with preprocessed capabilities (§VII-B.4). Every scan entry point runs
+//! one kernel, [`CloudServer::scan_wave`]: a solo search is a wave of one.
 //!
 //! The [`adversary`] module implements the honest-but-curious server's
 //! **dictionary attack** (§V) used by the security tests and the
@@ -29,6 +28,4 @@ pub use backend::{
 pub use server::{
     CloudServer, DegradedScan, DocumentId, PreparedCache, SearchOutcome, SearchStats, WaveRequest,
 };
-pub use shard::{
-    AntiEntropyReport, ClockModel, ShardConfig, ShardOutcome, ShardRouter, ShardedBatch,
-};
+pub use shard::{AntiEntropyReport, ShardConfig, ShardOutcome, ShardRouter, ShardedBatch};

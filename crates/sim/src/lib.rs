@@ -26,7 +26,7 @@ use apks_authz::{
 use apks_cloud::CloudServer;
 use apks_core::fault::{FaultConfig, FaultContext, FaultPlan, RetryPolicy, VirtualClock};
 use apks_core::revocation::{with_period, Date};
-use apks_core::{ApksSystem, FieldValue, Query, QueryPolicy, Record};
+use apks_core::{ApksSystem, Budget, Deadline, FieldValue, Query, QueryPolicy, Record};
 use apks_curve::CurveParams;
 use apks_dataset::phr::{phr_schema, PhrConfig, ILLNESSES, PHR_EPOCH, PROVIDERS, REGIONS};
 use apks_proxy::ProxyChain;
@@ -429,7 +429,13 @@ impl Simulation {
                                 let ctx = FaultContext::new(plan, &self.config.retry, &self.clock);
                                 let d = self
                                     .server
-                                    .search_degraded(&cap, 1, &ctx)
+                                    .search_bounded(
+                                        &cap,
+                                        &ctx,
+                                        Deadline::NEVER,
+                                        &Budget::unlimited(),
+                                        0,
+                                    )
                                     .expect("registered issuer");
                                 if d.stats.degraded {
                                     report.degraded_searches += 1;

@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("capability issued and signed by {}", cap.issuer);
 
     // --- the server verifies and searches --------------------------------
-    let (hits, stats) = server.search_parallel(&cap, 4)?;
+    let (hits, stats) = server.search(&cap)?;
     println!(
         "server scanned {} indexes, {} matched: {:?}",
         stats.scanned, stats.matched, hits

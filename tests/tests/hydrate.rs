@@ -11,7 +11,7 @@
 //! `prepare_capability` exactly once regardless of shard count.
 
 use apks_authz::TrustedAuthority;
-use apks_cloud::{ClockModel, CloudServer, HydrateConfig, ShardConfig, ShardRouter};
+use apks_cloud::{CloudServer, HydrateConfig, ShardConfig, ShardRouter};
 use apks_core::fault::{FaultConfig, FaultPlan, RetryPolicy, VirtualClock};
 use apks_core::{ApksSystem, Budget, Deadline, FieldValue, Query, QueryPolicy, Record, Schema};
 use apks_curve::CurveParams;
@@ -256,10 +256,7 @@ fn scatter_gather_prepares_exactly_once_for_any_shard_count() {
             .collect();
         let router = ShardRouter::new(
             servers,
-            ShardConfig {
-                clock_model: ClockModel::Serial,
-                ..ShardConfig::default()
-            },
+            ShardConfig::default(),
             clock.clone(),
             Arc::new(MetricsRegistry::new()),
         );

@@ -242,7 +242,7 @@ fn compaction_survives_a_torn_tail() {
 
 mod scatter_gather {
     use apks_authz::TrustedAuthority;
-    use apks_cloud::{ClockModel, CloudServer, DegradedScan, ShardConfig, ShardRouter};
+    use apks_cloud::{CloudServer, DegradedScan, ShardConfig, ShardRouter};
     use apks_core::fault::{FaultConfig, FaultContext, FaultPlan, RetryPolicy, VirtualClock};
     use apks_core::{
         ApksSystem, Budget, Deadline, EncryptedIndex, FieldValue, Query, QueryPolicy, Record,
@@ -365,7 +365,7 @@ mod scatter_gather {
             let shard_clock = Arc::new(VirtualClock::new());
             let router = ShardRouter::new(
                 (0..shards).map(|_| server(ta, &shard_clock)).collect(),
-                ShardConfig { clock_model: ClockModel::Serial, ..ShardConfig::default() },
+                ShardConfig::default(),
                 shard_clock.clone(),
                 Arc::new(MetricsRegistry::new()),
             );
@@ -599,8 +599,8 @@ mod hydration {
             // plain scan first (also warms the paged cache so the wave
             // below exercises hits, not just misses)
             for cap in &caps {
-                let (m_hits, m_stats) = mem.scan(&cap.capability, 1).unwrap();
-                let (p_hits, p_stats) = paged.scan(&cap.capability, 1).unwrap();
+                let (m_hits, m_stats) = mem.scan(&cap.capability).unwrap();
+                let (p_hits, p_stats) = paged.scan(&cap.capability).unwrap();
                 prop_assert_eq!(&m_hits, &p_hits);
                 prop_assert_eq!(m_stats.scanned, p_stats.scanned);
                 prop_assert_eq!(m_stats.matched, p_stats.matched);

@@ -77,22 +77,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Scans only ever add to the registry: every counter and histogram
-    /// is monotone across repeated scans, whatever the thread count,
-    /// and each intermediate snapshot round-trips through its decoder.
+    /// is monotone across repeated scans, and each intermediate
+    /// snapshot round-trips through its decoder.
     #[test]
     fn metrics_are_monotone_across_scans(
         seed in 0u64..1_000,
         scans in 1usize..4,
-        threads in 1usize..4,
-        prepare in any::<bool>(),
     ) {
         let (server, cap) = deployment(7_000 + seed, 4);
         let mut prev = server.metrics_snapshot();
         prop_assert!(prev.is_empty(), "fresh server records nothing");
         for _ in 0..scans {
-            server
-                .scan_with_mode(&cap.capability, threads, prepare)
-                .unwrap();
+            server.scan(&cap.capability).unwrap();
             let snap = server.metrics_snapshot();
             assert_monotone(&prev, &snap);
             // strictly more work than before: the scan counter moved
