@@ -3,9 +3,10 @@
 //! The [`TrustedAuthority`] runs system setup, provisions second-level
 //! [`Lta`]s with base capabilities and IBS signing keys, and can then stay
 //! offline. Each LTA serves capability requests from its local domain:
-//! attribute check → `DelegateCap` from its base capability → finalize →
-//! sign. LTAs can also spawn *sub*-LTAs, inheriting their restrictions —
-//! the `i`-th-level delegation of the paper.
+//! attribute check → `DelegateCap` from its base capability, finalized
+//! (only the search component is computed) → sign. LTAs can also spawn
+//! *sub*-LTAs, inheriting their restrictions — the `i`-th-level
+//! delegation of the paper, which keeps the full delegated key.
 
 use crate::directory::{AttributeDirectory, EligibilityRules};
 use crate::ibs::{IbsAuthority, IbsPublicParams, UserSignKey};
@@ -199,9 +200,12 @@ impl Lta {
         &self.id
     }
 
-    /// Serves a user's capability request: attribute check, delegation
-    /// from the base capability (inheriting this LTA's restrictions),
-    /// finalization, and signing.
+    /// Serves a user's capability request: attribute check, then a
+    /// finalized delegation from the base capability (inheriting this
+    /// LTA's restrictions; [`ApksSystem::delegate_cap_final`] computes
+    /// only the search component a user receives), then signing. The
+    /// signed capability equals `delegate_cap(..).finalize()` signed from
+    /// the same RNG state.
     ///
     /// # Errors
     ///
@@ -220,7 +224,7 @@ impl Lta {
             .map_err(|fields| AuthzError::NotEligible { fields })?;
         let converted = query.convert(system.schema())?;
         self.policy.check(&converted)?;
-        let cap = system.delegate_cap(pk, &self.base, query, rng)?.finalize();
+        let cap = system.delegate_cap_final(pk, &self.base, query, rng)?;
         let msg = SignedCapability::signed_bytes(system.params(), &cap, &self.id);
         let signature = self.sign_key.sign(system.params(), &msg, rng);
         Ok(SignedCapability {
@@ -270,7 +274,7 @@ mod tests {
     use apks_core::{FieldValue, Record, Schema};
     use apks_curve::CurveParams;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn system() -> ApksSystem {
         let schema = Schema::builder()
@@ -399,6 +403,81 @@ mod tests {
         let mut forged = signed.clone();
         forged.issuer = "lta:evil".into();
         assert!(!forged.verify(sys.params(), ta.ibs_params()));
+    }
+
+    /// Issuance by full delegation: `delegate_cap`, `finalize`, sign.
+    fn request_by_full_delegation(
+        lta: &Lta,
+        sys: &ApksSystem,
+        pk: &ApksPublicKey,
+        query: &Query,
+        rng: &mut StdRng,
+    ) -> SignedCapability {
+        let cap = sys
+            .delegate_cap(pk, &lta.base, query, rng)
+            .unwrap()
+            .finalize();
+        let msg = SignedCapability::signed_bytes(sys.params(), &cap, &lta.id);
+        let signature = lta.sign_key.sign(sys.params(), &msg, rng);
+        SignedCapability {
+            capability: cap,
+            issuer: lta.id.clone(),
+            signature,
+        }
+    }
+
+    #[test]
+    fn issuance_equals_full_delegation_then_finalize_and_sign() {
+        let sys = system();
+        let mut rng = StdRng::seed_from_u64(704);
+        let mut ta = TrustedAuthority::setup(sys, &mut rng);
+        let sys = ta.system().clone();
+        let pk = ta.public_key().clone();
+        let directory = || {
+            let mut dir = AttributeDirectory::new();
+            dir.register_user("carol", [("sex", FieldValue::text("female"))]);
+            dir
+        };
+        let any = || EligibilityRules::with_default(Eligibility::AnyValue);
+        let lta = ta
+            .register_lta(
+                "lta:hospital-a",
+                &Query::new().equals("provider", "hospital-a"),
+                directory(),
+                any(),
+                QueryPolicy::default(),
+                &mut rng,
+            )
+            .unwrap();
+        let sub = lta
+            .spawn_sub_lta(
+                &sys,
+                &pk,
+                "lta:hospital-a:flu-clinic",
+                &Query::new().equals("illness", "flu"),
+                crate::ibs::IbsAuthority::new(sys.params().clone(), &mut rng)
+                    .extract("lta:hospital-a:flu-clinic"),
+                directory(),
+                any(),
+                QueryPolicy::default(),
+                &mut rng,
+            )
+            .unwrap();
+        let encoded = |signed: &SignedCapability| {
+            let mut w = apks_math::encode::Writer::new();
+            signed.encode(sys.params(), &mut w);
+            w.finish()
+        };
+        let query = Query::new().equals("sex", "female");
+        for authority in [&lta, &sub] {
+            let mut rng_full = rng.clone();
+            let issued = authority
+                .request_capability(&sys, &pk, "carol", &query, &mut rng)
+                .unwrap();
+            let full = request_by_full_delegation(authority, &sys, &pk, &query, &mut rng_full);
+            assert_eq!(encoded(&issued), encoded(&full), "{}", authority.id());
+            assert_eq!(rng.next_u64(), rng_full.next_u64(), "{}", authority.id());
+        }
     }
 
     #[test]

@@ -272,18 +272,53 @@ impl ApksSystem {
         query: &Query,
         rng: &mut R,
     ) -> Result<Capability, ApksError> {
+        let v = self.delegation_vector(pk, parent, query, rng)?;
+        let key = self.hpe.delegate(&pk.hpe, &parent.key, &v, rng)?;
+        Ok(Capability {
+            key,
+            digest: self.digest,
+        })
+    }
+
+    /// [`Self::delegate_cap`] followed by [`Capability::finalize`], built
+    /// by [`Hpe::delegate_final`]: only the search component is
+    /// computed. From the same RNG state it returns the same capability
+    /// as `delegate_cap(..).finalize()` and leaves the RNG in the same
+    /// state — the issuance path of an LTA, whose users may only search.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::delegate_cap`].
+    pub fn delegate_cap_final<R: Rng + ?Sized>(
+        &self,
+        pk: &ApksPublicKey,
+        parent: &Capability,
+        query: &Query,
+        rng: &mut R,
+    ) -> Result<Capability, ApksError> {
+        let v = self.delegation_vector(pk, parent, query, rng)?;
+        let key = self.hpe.delegate_final(&pk.hpe, &parent.key, &v, rng)?;
+        Ok(Capability {
+            key,
+            digest: self.digest,
+        })
+    }
+
+    /// The checks and the predicate vector `DelegateCap` starts from.
+    fn delegation_vector<R: Rng + ?Sized>(
+        &self,
+        pk: &ApksPublicKey,
+        parent: &Capability,
+        query: &Query,
+        rng: &mut R,
+    ) -> Result<Vec<apks_math::Fr>, ApksError> {
         self.check_digest(pk.digest)?;
         self.check_digest(parent.digest)?;
         if !parent.key.can_delegate() {
             return Err(ApksError::NotDelegatable);
         }
         let converted = query.convert(&self.schema)?;
-        let v = phi(&self.schema, &converted, rng);
-        let key = self.hpe.delegate(&pk.hpe, &parent.key, &v, rng)?;
-        Ok(Capability {
-            key,
-            digest: self.digest,
-        })
+        Ok(phi(&self.schema, &converted, rng))
     }
 
     /// `Search(PK, T_Q, E(Z⃗))`: evaluates a capability against one
@@ -470,7 +505,7 @@ mod tests {
     use crate::hierarchy::Hierarchy;
     use crate::keyword::FieldValue;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn small_system() -> ApksSystem {
         let schema = Schema::builder()
@@ -679,6 +714,90 @@ mod tests {
         let cap2 = Capability::decode(sys.params(), &mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(cap, cap2);
+    }
+
+    #[test]
+    fn delegate_cap_final_is_delegate_cap_then_finalize() {
+        let sys = small_system();
+        let mut rng = StdRng::seed_from_u64(510);
+        let (pk, msk) = sys.setup(&mut rng);
+        let base = sys
+            .gen_cap(
+                &pk,
+                &msk,
+                &Query::new().equals("sex", "female"),
+                &QueryPolicy::default(),
+                &mut rng,
+            )
+            .unwrap();
+        let query = Query::new().range("age", 4, 7);
+        let mut rng_full = rng.clone();
+        let full = sys
+            .delegate_cap(&pk, &base, &query, &mut rng_full)
+            .unwrap()
+            .finalize();
+        let fin = sys
+            .delegate_cap_final(&pk, &base, &query, &mut rng)
+            .unwrap();
+        assert_eq!(fin, full);
+        assert_eq!(rng.next_u64(), rng_full.next_u64());
+        let err = sys
+            .delegate_cap_final(&pk, &fin, &query, &mut rng)
+            .unwrap_err();
+        assert_eq!(err, ApksError::NotDelegatable);
+    }
+
+    #[test]
+    fn malformed_capability_bytes_are_errors_not_panics() {
+        let sys = small_system();
+        let mut rng = StdRng::seed_from_u64(509);
+        let (pk, msk) = sys.setup(&mut rng);
+        let base = sys
+            .gen_cap(
+                &pk,
+                &msk,
+                &Query::new().equals("sex", "female"),
+                &QueryPolicy::default(),
+                &mut rng,
+            )
+            .unwrap();
+        let idx = sys.gen_index(&pk, &record(6, "female"), &mut rng).unwrap();
+        let query = Query::new().range("age", 4, 7);
+        let edits: [fn(&mut HpeSecretKey); 6] = [
+            |k| {
+                k.del.pop();
+            },
+            |k| {
+                k.ran[0].0.pop();
+            },
+            |k| {
+                k.dec.0.pop();
+            },
+            |k| k.level = u32::MAX as usize,
+            |k| k.ran.clear(),
+            |k| {
+                *k = k.finalize();
+                k.dec.0.pop();
+            },
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut edited = base.clone();
+            edit(&mut edited.key);
+            let mut w = Writer::new();
+            edited.encode(sys.params(), &mut w);
+            let buf = w.finish();
+            // decoding accepts any shape; the operations must refuse it
+            let cap = Capability::decode(sys.params(), &mut Reader::new(&buf)).unwrap();
+            assert!(
+                sys.delegate_cap(&pk, &cap, &query, &mut rng).is_err(),
+                "{i}"
+            );
+            assert!(
+                sys.delegate_cap_final(&pk, &cap, &query, &mut rng).is_err(),
+                "{i}"
+            );
+            assert!(sys.search(&pk, &cap, &idx).is_err(), "{i}");
+        }
     }
 
     #[test]

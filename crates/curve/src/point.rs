@@ -340,34 +340,47 @@ fn wnaf4(scalar: &apks_math::UintR) -> Vec<i8> {
 }
 
 /// Batch conversion of Jacobian points to affine with a single inversion
-/// (Montgomery's trick). The identity maps to the affine identity.
+/// (Montgomery's trick, `batch_invert`). The identity maps to the
+/// affine identity.
 pub fn batch_to_affine(fp: &FpCtx, points: &[G1Projective]) -> Vec<G1Affine> {
-    let n = points.len();
-    let mut prefix = Vec::with_capacity(n);
+    let mut zinvs: Vec<Fp> = points
+        .iter()
+        .map(|pt| pt.z)
+        .filter(|&z| !fp.is_zero(z))
+        .collect();
+    batch_invert(fp, &mut zinvs).expect("only nonzero z are inverted");
+    let mut zinvs = zinvs.into_iter();
+    points
+        .iter()
+        .map(|pt| {
+            if fp.is_zero(pt.z) {
+                return G1Affine::identity();
+            }
+            let zinv = zinvs.next().expect("one inverse per finite point");
+            let zinv2 = fp.sqr(zinv);
+            let zinv3 = fp.mul(zinv2, zinv);
+            G1Affine::new_unchecked(fp.mul(pt.x, zinv2), fp.mul(pt.y, zinv3))
+        })
+        .collect()
+}
+
+/// Replaces every element of `values` by its inverse with a single field
+/// inversion (Montgomery's trick). `None`, leaving `values` unchanged, if
+/// any element is zero.
+pub(crate) fn batch_invert(fp: &FpCtx, values: &mut [Fp]) -> Option<()> {
+    let mut prefix = Vec::with_capacity(values.len());
     let mut acc = fp.one();
-    for pt in points {
+    for &v in values.iter() {
         prefix.push(acc);
-        if !fp.is_zero(pt.z) {
-            acc = fp.mul(acc, pt.z);
-        }
+        acc = fp.mul(acc, v);
     }
-    let mut inv = match fp.inv(acc) {
-        Some(v) => v,
-        None => fp.one(), // acc can only be 0 if some z==0 skipped; acc never 0 here
-    };
-    let mut out = vec![G1Affine::identity(); n];
-    for i in (0..n).rev() {
-        let pt = &points[i];
-        if fp.is_zero(pt.z) {
-            continue;
-        }
-        let zinv = fp.mul(inv, prefix[i]);
-        inv = fp.mul(inv, pt.z);
-        let zinv2 = fp.sqr(zinv);
-        let zinv3 = fp.mul(zinv2, zinv);
-        out[i] = G1Affine::new_unchecked(fp.mul(pt.x, zinv2), fp.mul(pt.y, zinv3));
+    let mut inv = fp.inv(acc)?;
+    for (v, before) in values.iter_mut().zip(prefix).rev() {
+        let v_inv = fp.mul(inv, before);
+        inv = fp.mul(inv, *v);
+        *v = v_inv;
     }
-    out
+    Some(())
 }
 
 #[cfg(test)]

@@ -13,13 +13,13 @@
 
 use crate::pairing::{final_exponentiation, MillerValue};
 use crate::params::CurveParams;
-use crate::point::G1Affine;
+use crate::point::{batch_invert, G1Affine};
 use apks_math::fp::{Fp, FpCtx};
 use apks_math::fp2::{Fp2, Fp2Ops};
 use apks_math::Fr;
 
 /// One precomputed Miller step.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Step {
     /// A line with coefficients `(a, b)`; evaluation is
     /// `(a + b·x_Q) + i·y_Q`.
@@ -29,7 +29,7 @@ enum Step {
 }
 
 /// A first pairing argument with its Miller lines precomputed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedG1 {
     /// `(double-step line, optional add-step line)` per loop iteration.
     steps: Vec<(Step, Option<Step>)>,
@@ -99,6 +99,89 @@ impl PreparedG1 {
         }
     }
 
+    /// Preprocesses several points in one lockstep walk of their Miller
+    /// loops. Each walk step needs one slope denominator per point; all
+    /// of them share one batched inversion (Montgomery's trick, as
+    /// [`crate::point::batch_to_affine`] uses) instead of one inversion
+    /// each, which is nearly all of the cost of [`PreparedG1::new`].
+    ///
+    /// Element `i` equals `PreparedG1::new(params, &points[i])` line for
+    /// line.
+    pub fn new_many(params: &CurveParams, points: &[G1Affine]) -> Vec<Self> {
+        let fp = params.fp();
+        let order = Fr::modulus();
+        let nbits = order.bits();
+        let mut out: Vec<PreparedG1> = points
+            .iter()
+            .map(|p| PreparedG1 {
+                steps: Vec::with_capacity(if p.infinity { 0 } else { nbits - 1 }),
+                infinity: p.infinity,
+            })
+            .collect();
+        // the running point T of every non-identity point; `None` once T
+        // reaches infinity
+        let mut walk: Vec<(usize, Option<(Fp, Fp)>)> = points
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.infinity)
+            .map(|(k, p)| (k, Some((p.x, p.y))))
+            .collect();
+        let mut dens = Vec::with_capacity(walk.len());
+        for i in (0..nbits - 1).rev() {
+            // tangent at T: λ = (3x²+1)/(2y), as in `new`
+            dens.clear();
+            dens.extend(walk.iter().flat_map(|(_, t)| t.map(|(_, ty)| fp.dbl(ty))));
+            batch_invert(fp, &mut dens).expect("y ≠ 0");
+            let mut inv = dens.iter();
+            for (k, t) in &mut walk {
+                let dbl = match *t {
+                    None => Step::Skip,
+                    Some((tx, ty)) => {
+                        let den_inv = *inv.next().expect("one denominator per live walk");
+                        let num = fp.add(fp.add(fp.dbl(fp.sqr(tx)), fp.sqr(tx)), fp.one());
+                        let (step, next) = line_step(fp, fp.mul(num, den_inv), (tx, ty), tx);
+                        *t = Some(next);
+                        step
+                    }
+                };
+                out[*k].steps.push((dbl, None));
+            }
+            if !order.bit(i) {
+                continue;
+            }
+            // chord through T and P: λ = (y_T − y_P)/(x_T − x_P); T = −P
+            // ends the walk
+            dens.clear();
+            for (k, t) in &mut walk {
+                if let Some((tx, _)) = *t {
+                    let p = &points[*k];
+                    if tx == p.x {
+                        *t = None;
+                        out[*k].last_step().1 = Some(Step::Skip);
+                    } else {
+                        dens.push(fp.sub(tx, p.x));
+                    }
+                }
+            }
+            batch_invert(fp, &mut dens).expect("distinct x");
+            let mut inv = dens.iter();
+            for (k, t) in &mut walk {
+                let Some((tx, ty)) = *t else { continue };
+                let p = &points[*k];
+                let den_inv = *inv.next().expect("one denominator per live walk");
+                let lambda = fp.mul(fp.sub(ty, p.y), den_inv);
+                let (step, next) = line_step(fp, lambda, (tx, ty), p.x);
+                *t = Some(next);
+                out[*k].last_step().1 = Some(step);
+            }
+        }
+        out
+    }
+
+    fn last_step(&mut self) -> &mut (Step, Option<Step>) {
+        self.steps.last_mut().expect("a step was pushed")
+    }
+
     /// True iff the prepared point is the identity.
     pub fn is_infinity(&self) -> bool {
         self.infinity
@@ -113,6 +196,18 @@ impl PreparedG1 {
             }
         }
     }
+}
+
+/// The line of slope `λ` through `T = (x_T, y_T)`, stored as in
+/// [`PreparedG1::new`] (`a = λ·x_T − y_T`, `b = λ`), and the third
+/// intersection's reflection `T' = (λ² − x_T − x_other, λ(x_T − x_T') − y_T)`:
+/// the doubling of `T` when `x_other = x_T`, else `T + P` for
+/// `x_other = x_P`.
+fn line_step(fp: &FpCtx, lambda: Fp, (tx, ty): (Fp, Fp), x_other: Fp) -> (Step, (Fp, Fp)) {
+    let a = fp.sub(fp.mul(lambda, tx), ty);
+    let x3 = fp.sub(fp.sqr(lambda), fp.add(tx, x_other));
+    let y3 = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
+    (Step::Line { a, b: lambda }, (x3, y3))
 }
 
 /// Pairing with a prepared first argument (unreduced).

@@ -15,9 +15,10 @@ use apks_curve::{
 
 /// A [`DpvsVector`] with every coordinate's Miller lines precomputed.
 ///
-/// Preparation costs roughly one Miller loop per coordinate; each
-/// subsequent [`PreparedDpvsVector::pair`] then runs at the paper's
-/// "with preprocessing" rate (§VII-B.4). Break-even is after a couple of
+/// Preparation walks the Miller loops of all coordinates in lockstep,
+/// with one batched field inversion per loop step; each subsequent
+/// [`PreparedDpvsVector::pair`] then runs at the paper's "with
+/// preprocessing" rate (§VII-B.4). Break-even is after a couple of
 /// pairings, so any scan over more than a handful of documents wins.
 #[derive(Clone, Debug)]
 pub struct PreparedDpvsVector {
@@ -25,12 +26,14 @@ pub struct PreparedDpvsVector {
 }
 
 impl PreparedDpvsVector {
-    /// Precomputes Miller line coefficients for every coordinate of `v`.
+    /// Precomputes Miller line coefficients for every coordinate of `v`
+    /// ([`PreparedG1::new_many`]: the same lines as a per-coordinate
+    /// [`PreparedG1::new`]).
     pub fn prepare(params: &CurveParams, v: &DpvsVector) -> Self {
         // preparation spends the Miller loops up front (no pairings yet)
         apks_telemetry::source::record_miller_loops(v.dim() as u64);
         PreparedDpvsVector {
-            coords: v.0.iter().map(|p| PreparedG1::new(params, p)).collect(),
+            coords: PreparedG1::new_many(params, &v.0),
         }
     }
 
@@ -141,6 +144,29 @@ mod tests {
         let zero = DpvsVector::zero(4);
         let prep_zero = PreparedDpvsVector::prepare(&params, &zero);
         assert!(prep_zero.pair(&params, &x).is_identity(&params));
+    }
+
+    #[test]
+    fn lockstep_prepare_equals_per_point_prepare() {
+        for params in [CurveParams::fast(), CurveParams::standard()] {
+            let mut rng = StdRng::seed_from_u64(45);
+            for n in [1, 4, 13] {
+                let mut y = random_vector(&params, n, &mut rng);
+                if n > 1 {
+                    y.0[n / 2] = apks_curve::G1Affine::identity();
+                }
+                for v in [&y, &DpvsVector::zero(n)] {
+                    let per_point: Vec<PreparedG1> =
+                        v.0.iter().map(|p| PreparedG1::new(&params, p)).collect();
+                    assert_eq!(
+                        PreparedDpvsVector::prepare(&params, v).coords,
+                        per_point,
+                        "{} n0={n}",
+                        params.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -184,7 +184,9 @@ impl HpeSecretKey {
         }
     }
 
-    /// Decodes a secret key.
+    /// Decodes a secret key. The key's shape (level, component counts,
+    /// dimensions) is not checked here; the HPE operations refuse a
+    /// malformed key.
     ///
     /// # Errors
     ///
@@ -192,12 +194,14 @@ impl HpeSecretKey {
     pub fn decode(params: &CurveParams, r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let level = r.u32()? as usize;
         let dec = DpvsVector::decode(params, r)?;
-        let n_ran = r.u32()? as usize;
+        // every component starts with a 4-byte dimension prefix, so a
+        // count the input cannot hold is refused before allocation
+        let n_ran = r.count(4)?;
         let mut ran = Vec::with_capacity(n_ran);
         for _ in 0..n_ran {
             ran.push(DpvsVector::decode(params, r)?);
         }
-        let n_del = r.u32()? as usize;
+        let n_del = r.count(4)?;
         let mut del = Vec::with_capacity(n_del);
         for _ in 0..n_del {
             del.push(DpvsVector::decode(params, r)?);

@@ -126,6 +126,44 @@ impl Hpe {
         Ok(())
     }
 
+    /// Checks the shape of a key, which decoding does not: either
+    /// finalized (no `ran`, no `del`) or with `level + 1` `ran` and `n`
+    /// `del` components, and every component of dimension `n₀`. Keys
+    /// decoded from outside input reach [`Hpe::delegate`],
+    /// [`Hpe::delegate_final`], [`Hpe::rerandomize`] and
+    /// [`Hpe::decrypt`], whose point arithmetic assumes this shape.
+    fn check_key(&self, key: &HpeSecretKey) -> Result<(), HpeError> {
+        let mismatch =
+            |expected: usize, got: usize| Err(HpeError::DimensionMismatch { expected, got });
+        if !key.ran.is_empty() || !key.del.is_empty() {
+            let ran_len = key.level.saturating_add(1);
+            if key.ran.len() != ran_len {
+                return mismatch(ran_len, key.ran.len());
+            }
+            if key.del.len() != self.n {
+                return mismatch(self.n, key.del.len());
+            }
+        }
+        let components = std::iter::once(&key.dec).chain(&key.ran).chain(&key.del);
+        match components.map(DpvsVector::dim).find(|&d| d != self.n0()) {
+            Some(got) => mismatch(self.n0(), got),
+            None => Ok(()),
+        }
+    }
+
+    /// The checks [`Hpe::delegate`] and [`Hpe::delegate_final`] share.
+    fn check_delegation(&self, key: &HpeSecretKey, v_next: &[Fr]) -> Result<(), HpeError> {
+        self.check_dim(v_next)?;
+        self.check_key(key)?;
+        if !key.can_delegate() {
+            return Err(HpeError::KeyNotDelegatable);
+        }
+        if v_next.iter().all(|c| c.is_zero()) {
+            return Err(HpeError::ZeroPredicate);
+        }
+        Ok(())
+    }
+
     /// Combines `B*` rows with a full-width coefficient vector, done in
     /// the exponent (the msk holder knows `Y`): one `F_q` matvec plus
     /// `n₀` fixed-base exponentiations.
@@ -238,12 +276,14 @@ impl Hpe {
     ///
     /// # Errors
     ///
-    /// Fails if the key was finalized (no `ran` components).
+    /// Fails if the key was finalized (no `ran` components) or is
+    /// malformed.
     pub fn rerandomize<R: Rng + ?Sized>(
         &self,
         key: &HpeSecretKey,
         rng: &mut R,
     ) -> Result<HpeSecretKey, HpeError> {
+        self.check_key(key)?;
         if key.ran.is_empty() {
             return Err(HpeError::KeyNotDelegatable);
         }
@@ -326,7 +366,7 @@ impl Hpe {
     ///
     /// # Errors
     ///
-    /// Fails on dimension mismatch.
+    /// Fails on dimension mismatch or a malformed key.
     pub fn decrypt(
         &self,
         _pk: &HpePublicKey,
@@ -339,6 +379,7 @@ impl Hpe {
                 got: ct.c1.dim(),
             });
         }
+        self.check_key(key)?;
         apks_telemetry::source::record_predicate_evals(1);
         let e = ct.c1.pair(&self.params, &key.dec);
         Ok(ct.c2.mul(&self.params, &e.inverse(&self.params)))
@@ -466,8 +507,8 @@ impl Hpe {
     ///
     /// # Errors
     ///
-    /// Fails if the key was finalized, on dimension mismatch, or if
-    /// `v_next` is zero.
+    /// Fails if the key was finalized or is malformed, on dimension
+    /// mismatch, or if `v_next` is zero.
     pub fn delegate<R: Rng + ?Sized>(
         &self,
         _pk: &HpePublicKey,
@@ -475,13 +516,7 @@ impl Hpe {
         v_next: &[Fr],
         rng: &mut R,
     ) -> Result<HpeSecretKey, HpeError> {
-        self.check_dim(v_next)?;
-        if !key.can_delegate() {
-            return Err(HpeError::KeyNotDelegatable);
-        }
-        if v_next.iter().all(|c| c.is_zero()) {
-            return Err(HpeError::ZeroPredicate);
-        }
+        self.check_delegation(key, v_next)?;
         let n = self.n;
         let level = key.level + 1;
 
@@ -516,6 +551,56 @@ impl Hpe {
             dec,
             ran,
             del,
+        })
+    }
+
+    /// [`Hpe::delegate`] followed by [`HpeSecretKey::finalize`], computing
+    /// only the component `finalize` keeps:
+    /// `k*_{ℓ+1,dec} = k*_{ℓ,dec} + Σ αᵢ k*_{ℓ,ran,i} + σ Σ vⱼ k*_{ℓ,del,j}`,
+    /// as one linear combination of the parent's rows (zero `vⱼ` skip
+    /// their row).
+    ///
+    /// It draws exactly the randomness `delegate` draws, in the same
+    /// order, and discards the draws for the stripped `ran` and `del`
+    /// components, so `delegate_final(pk, k, v, rng)` equals
+    /// `delegate(pk, k, v, rng).finalize()` byte for byte and leaves
+    /// `rng` in the same state.
+    ///
+    /// # Errors
+    ///
+    /// As [`Hpe::delegate`].
+    pub fn delegate_final<R: Rng + ?Sized>(
+        &self,
+        _pk: &HpePublicKey,
+        key: &HpeSecretKey,
+        v_next: &[Fr],
+        rng: &mut R,
+    ) -> Result<HpeSecretKey, HpeError> {
+        self.check_delegation(key, v_next)?;
+        let level = key.level + 1;
+        let mut rows: Vec<&DpvsVector> = std::iter::once(&key.dec).chain(&key.ran).collect();
+        let mut coeffs = vec![Fr::one()];
+        coeffs.extend((0..key.ran.len()).map(|_| Fr::random(rng)));
+        let sigma = Fr::random(rng);
+        rows.extend(&key.del);
+        coeffs.extend(v_next.iter().map(|&vj| sigma * vj));
+        let dec = DpvsVector::linear_combination(&self.params, &rows, &coeffs);
+
+        // `delegate`'s draws for the `ran` and `del` combinations and ψ
+        let combo_draws = key.ran.len() + 1;
+        for _ in 0..(level + 1) * combo_draws {
+            Fr::random(rng);
+        }
+        Fr::random_nonzero(rng);
+        for _ in 0..self.n * combo_draws {
+            Fr::random(rng);
+        }
+
+        Ok(HpeSecretKey {
+            level,
+            dec,
+            ran: Vec::new(),
+            del: Vec::new(),
         })
     }
 }
@@ -836,6 +921,152 @@ mod tests {
         assert_eq!(ct, ct2);
         // decoded objects still work
         assert!(hpe.test(&pk, &key2, &ct2).unwrap());
+    }
+
+    /// A key at `level` for random predicates: `gen_key`, then
+    /// `level − 1` delegations.
+    fn key_at_level(
+        hpe: &Hpe,
+        pk: &HpePublicKey,
+        msk: &HpeMasterKey,
+        level: usize,
+        rng: &mut StdRng,
+    ) -> HpeSecretKey {
+        let random_v =
+            |rng: &mut StdRng| -> Vec<Fr> { (0..hpe.n()).map(|_| Fr::random(rng)).collect() };
+        let mut key = hpe.gen_key(pk, msk, &random_v(rng), rng).unwrap();
+        for _ in 1..level {
+            key = hpe.delegate(pk, &key, &random_v(rng), rng).unwrap();
+        }
+        key
+    }
+
+    #[test]
+    fn delegate_final_errors_match_delegate() {
+        let (hpe, pk, msk, mut rng) = setup(3, 216);
+        let key = key_at_level(&hpe, &pk, &msk, 1, &mut rng);
+        let cases: [(&HpeSecretKey, Vec<Fr>, HpeError); 3] = [
+            (
+                &key.finalize(),
+                vec![Fr::one(); 3],
+                HpeError::KeyNotDelegatable,
+            ),
+            (&key, vec![Fr::ZERO; 3], HpeError::ZeroPredicate),
+            (
+                &key,
+                vec![Fr::one(); 4],
+                HpeError::DimensionMismatch {
+                    expected: 3,
+                    got: 4,
+                },
+            ),
+        ];
+        for (k, v, err) in cases {
+            assert_eq!(hpe.delegate(&pk, k, &v, &mut rng).unwrap_err(), err);
+            assert_eq!(hpe.delegate_final(&pk, k, &v, &mut rng).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn malformed_key_shapes_are_errors() {
+        let (hpe, pk, msk, mut rng) = setup(3, 217);
+        let (x, v) = orthogonal_pair(&mut rng);
+        let key = key_at_level(&hpe, &pk, &msk, 2, &mut rng);
+        let ct = hpe.encrypt_marker(&pk, &x, &mut rng).unwrap();
+        let short = DpvsVector::zero(hpe.n0() - 1);
+        let mut bad_keys = Vec::new();
+        let mut k = key.clone();
+        k.del.pop();
+        bad_keys.push(k);
+        let mut k = key.clone();
+        k.ran[1] = short.clone();
+        bad_keys.push(k);
+        let mut k = key.clone();
+        k.level = u32::MAX as usize;
+        bad_keys.push(k);
+        let mut k = key.clone();
+        k.ran.clear();
+        bad_keys.push(k);
+        let mut k = key.finalize();
+        k.dec = short;
+        bad_keys.push(k);
+        for k in &bad_keys {
+            let shape = |r: Result<(), HpeError>| {
+                assert!(
+                    matches!(r, Err(HpeError::DimensionMismatch { .. })),
+                    "{r:?}"
+                )
+            };
+            shape(hpe.delegate(&pk, k, &v, &mut rng).map(drop));
+            shape(hpe.delegate_final(&pk, k, &v, &mut rng).map(drop));
+            shape(hpe.rerandomize(k, &mut rng).map(drop));
+            shape(hpe.test(&pk, k, &ct).map(drop));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+        // `shape`: 0 dense, 1 random zero coordinates, 2 one nonzero
+        // coordinate at `pick % n`.
+        #[test]
+        fn prop_delegate_final_is_delegate_then_finalize(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..=6,
+            level in 1usize..=3,
+            shape in 0usize..3,
+            zeros in proptest::prelude::any::<u8>(),
+            pick in proptest::prelude::any::<usize>(),
+        ) {
+            use rand::RngCore;
+            let (hpe, pk, msk, mut rng) = setup(n, seed);
+            let parent = key_at_level(&hpe, &pk, &msk, level, &mut rng);
+            let mut v: Vec<Fr> = (0..n).map(|_| Fr::random_nonzero(&mut rng)).collect();
+            match shape {
+                0 => {}
+                1 => {
+                    let keep = pick % n;
+                    for (j, vj) in v.iter_mut().enumerate() {
+                        if j != keep && zeros & (1 << j) != 0 {
+                            *vj = Fr::ZERO;
+                        }
+                    }
+                }
+                _ => {
+                    let keep = pick % n;
+                    for (j, vj) in v.iter_mut().enumerate() {
+                        if j != keep {
+                            *vj = Fr::ZERO;
+                        }
+                    }
+                }
+            }
+            let mut rng_full = rng.clone();
+            let full = hpe.delegate(&pk, &parent, &v, &mut rng_full).unwrap().finalize();
+            let fin = hpe.delegate_final(&pk, &parent, &v, &mut rng).unwrap();
+            let encoded = |k: &HpeSecretKey| {
+                let mut w = apks_math::encode::Writer::new();
+                k.encode(hpe.params(), &mut w);
+                w.finish()
+            };
+            proptest::prop_assert_eq!(encoded(&fin), encoded(&full));
+            proptest::prop_assert_eq!(fin.level, level + 1);
+            proptest::prop_assert_eq!(rng.next_u64(), rng_full.next_u64());
+        }
+    }
+
+    #[test]
+    fn hostile_component_count_rejected_before_allocation() {
+        let (hpe, _pk, _msk, _rng) = setup(1, 218);
+        let mut w = apks_math::encode::Writer::new();
+        w.u32(1);
+        DpvsVector::zero(hpe.n0()).encode(hpe.params(), &mut w);
+        w.u32(u32::MAX);
+        let buf = w.finish();
+        let mut r = apks_math::encode::Reader::new(&buf);
+        assert_eq!(
+            HpeSecretKey::decode(hpe.params(), &mut r),
+            Err(apks_math::encode::DecodeError::UnexpectedEnd)
+        );
     }
 
     #[test]
