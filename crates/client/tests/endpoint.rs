@@ -221,6 +221,47 @@ fn duplicated_ingest_frames_apply_exactly_once() {
 }
 
 #[test]
+fn dedup_window_keeps_exactly_the_last_256_batches() {
+    use apks_client::endpoint::DEDUP_WINDOW;
+    use apks_wire::{IngestBatch, Request, Response};
+
+    let (mut client, mut endpoint, ta, mut rng) = harness();
+    let (sys, pk) = (ta.system(), ta.public_key());
+    let mut upload = |seq: u64, records| {
+        let batch = IngestBatch {
+            owner: "owner-a".into(),
+            seq,
+            records,
+        };
+        match client.call(&mut endpoint, &Request::Upload(batch)).unwrap() {
+            Response::Uploaded { ids } => (ids, endpoint.server().len()),
+            other => panic!("seq {seq}: expected Uploaded, got {other:?}"),
+        }
+    };
+    let index = |rng: &mut StdRng| {
+        let rec = Record::new(vec![FieldValue::text("flu"), FieldValue::text("male")]);
+        vec![sys.gen_index(pk, &rec, rng).unwrap()]
+    };
+    let (oldest, second) = (index(&mut rng), index(&mut rng));
+
+    assert_eq!(upload(0, oldest.clone()), (vec![0], 1));
+    // 256 newer batches: the second-oldest, then empty ones as padding
+    assert_eq!(upload(1, second.clone()), (vec![1], 2));
+    for seq in 2..=DEDUP_WINDOW as u64 {
+        assert_eq!(upload(seq, Vec::new()), (vec![], 2));
+    }
+
+    // the second-oldest batch is still in the window: a dedup hit with
+    // its original ids, nothing applied
+    assert_eq!(upload(1, second), (vec![1], 2));
+    // the oldest fell out of the window: applied again, with a new id
+    assert_eq!(upload(0, oldest), (vec![2], 3));
+
+    let snap = endpoint.server().metrics_snapshot();
+    assert_eq!(snap.counter("wire.server.dedup_hits"), Some(1));
+}
+
+#[test]
 fn resilient_calls_survive_a_lossy_link() {
     // drop + corrupt + truncate at meaningful rates: bare calls would
     // die, resilient calls reconnect and recover

@@ -1,0 +1,81 @@
+//! Times the three costs that the field width sets, on both curves: one
+//! `F_p` multiplication, one 13-pair prepared evaluation (the scan's
+//! per-index work at n = 10) and one scalar multiplication.
+//!
+//! ```text
+//! cargo run --release -p apks-curve --example field_costs
+//! ```
+//!
+//! Each figure is the median of 15 batches; a batch is timed as a whole
+//! and divided by its operation count.
+
+use apks_curve::{multi_pairing_prepared_many, CurveParams, G1Affine, PreparedG1};
+use apks_math::Fr;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
+
+const BATCHES: usize = 15;
+
+/// Median over [`BATCHES`] batches of `ops` calls, in nanoseconds per call.
+fn median_ns(ops: u32, mut f: impl FnMut()) -> f64 {
+    f(); // warm-up
+    let mut per_op: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..ops {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(ops)
+        })
+        .collect();
+    per_op.sort_by(f64::total_cmp);
+    per_op[BATCHES / 2]
+}
+
+fn row(params: &Arc<CurveParams>) {
+    let fp = params.fp();
+    let mut rng = StdRng::seed_from_u64(7);
+    let g = params.generator();
+    let mut point = || params.mul(&g, Fr::random_nonzero(&mut rng));
+
+    let (mut x, y) = (
+        fp.random(&mut StdRng::seed_from_u64(8)),
+        fp.random(&mut StdRng::seed_from_u64(9)),
+    );
+    let fp_mul = median_ns(100_000, || x = fp.mul(black_box(x), y));
+
+    let lhs: Vec<G1Affine> = (0..13).map(|_| point()).collect();
+    let rhs: Vec<G1Affine> = (0..13).map(|_| point()).collect();
+    let prepared = PreparedG1::new_many(params, &lhs);
+    let pairs: Vec<(&PreparedG1, G1Affine)> = prepared.iter().zip(rhs.iter().copied()).collect();
+    let eval = median_ns(20, || {
+        black_box(multi_pairing_prepared_many(
+            params,
+            &[black_box(&pairs[..])],
+        ));
+    });
+
+    let base = point();
+    let k = Fr::random_nonzero(&mut StdRng::seed_from_u64(10));
+    let scalar_mul = median_ns(50, || {
+        black_box(params.mul(black_box(&base), k));
+    });
+
+    println!(
+        "| {} | {:.1} ns | {:.0} µs | {:.0} µs |",
+        params.label(),
+        fp_mul,
+        eval / 1e3,
+        scalar_mul / 1e3
+    );
+}
+
+fn main() {
+    println!("| curve | `F_p` mul | 13-pair prepared evaluation | scalar multiplication |");
+    println!("|---|---|---|---|");
+    row(&CurveParams::fast());
+    row(&CurveParams::standard());
+}

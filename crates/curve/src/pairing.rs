@@ -125,7 +125,7 @@ impl MillerState {
         };
         let m = fp.add(fp.add(fp.dbl(xx), xx), fp.sqr(zz)); // 3X² + Z⁴ (a = 1)
         let x3 = fp.sub(fp.sqr(m), fp.dbl(s));
-        let y3 = fp.sub(fp.mul(m, fp.sub(s, x3)), fp.mul_u64(yyyy, 8));
+        let y3 = fp.sub(fp.mul(m, fp.sub(s, x3)), fp.dbl(fp.dbl(fp.dbl(yyyy))));
         let z3 = fp.sub(fp.sub(fp.sqr(fp.add(y, z)), yy), zz); // 2YZ
 
         // Tangent at T evaluated at φ(Q) = (−x_Q, i·y_Q), scaled by 2Y·Z⁶:
@@ -161,7 +161,7 @@ impl MillerState {
             return None;
         }
         let hh = fp.sqr(h);
-        let i = fp.mul_u64(hh, 4);
+        let i = fp.dbl(fp.dbl(hh));
         let j = fp.mul(h, i);
         let v = fp.mul(x1, i);
         let x3 = fp.sub(fp.sub(fp.sqr(rr), j), fp.dbl(v));

@@ -96,7 +96,8 @@ impl G1Affine {
         out
     }
 
-    /// Decodes a compressed encoding; `None` if malformed or off-curve.
+    /// Decodes a compressed encoding; `None` if malformed, off-curve, or
+    /// the 2-torsion point `(0, 0)`.
     pub fn from_bytes(fp: &FpCtx, bytes: &[u8]) -> Option<Self> {
         let n = 8 * apks_math::FP_LIMBS;
         if bytes.len() != n + 1 {
@@ -115,6 +116,13 @@ impl G1Affine {
         let x = fp.from_bytes(&bytes[..n])?;
         let rhs = fp.add(fp.mul(fp.sqr(x), x), x);
         let mut y = fp.sqrt(rhs)?;
+        // y = 0 only at (0, 0): −1 is a non-residue (p ≡ 3 mod 4), so
+        // x³ + x = x(x² + 1) vanishes only at x = 0. That point has order
+        // 2, so it is never in the order-q group, and both flags would
+        // decode it alike.
+        if fp.is_zero(y) {
+            return None;
+        }
         if fp.parity(y) != (flag & 1 == 1) {
             y = fp.neg(y);
         }
@@ -165,7 +173,7 @@ impl G1Projective {
         // M = 3XX + a·ZZ², a = 1
         let m = fp.add(fp.add(fp.dbl(xx), xx), fp.sqr(zz));
         let x3 = fp.sub(fp.sqr(m), fp.dbl(s));
-        let y3 = fp.sub(fp.mul(m, fp.sub(s, x3)), fp.mul_u64(yyyy, 8));
+        let y3 = fp.sub(fp.mul(m, fp.sub(s, x3)), fp.dbl(fp.dbl(fp.dbl(yyyy))));
         // Z3 = (Y+Z)² − YY − ZZ = 2YZ
         let z3 = fp.sub(fp.sub(fp.sqr(fp.add(self.y, self.z)), yy), zz);
         G1Projective {
@@ -195,7 +203,7 @@ impl G1Projective {
             return G1Projective::identity(fp);
         }
         let hh = fp.sqr(h);
-        let i = fp.mul_u64(hh, 4);
+        let i = fp.dbl(fp.dbl(hh));
         let j = fp.mul(h, i);
         let v = fp.mul(self.x, i);
         let x3 = fp.sub(fp.sub(fp.sqr(rr), j), fp.dbl(v));
@@ -543,6 +551,22 @@ mod tests {
         buf[0] = 1;
         buf[n] = 0;
         assert!(G1Affine::from_bytes(fp, &buf).is_none());
+    }
+
+    #[test]
+    fn two_torsion_encodings_rejected_on_both_curves() {
+        for params in [CurveParams::fast(), CurveParams::standard()] {
+            let n = 8 * apks_math::FP_LIMBS;
+            for flag in [2u8, 3] {
+                let mut buf = vec![0u8; n];
+                buf.push(flag);
+                assert!(
+                    G1Affine::from_bytes(params.fp(), &buf).is_none(),
+                    "{}: x = 0 with flag {flag} must be refused",
+                    params.label()
+                );
+            }
+        }
     }
 
     #[test]

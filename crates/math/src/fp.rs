@@ -118,12 +118,6 @@ impl FpCtx {
         Fp(self.mont.sqr(&a.0))
     }
 
-    /// Multiplication by a small constant.
-    #[inline]
-    pub fn mul_u64(&self, a: Fp, k: u64) -> Fp {
-        self.mul(a, self.from_u64(k))
-    }
-
     /// Inversion; `None` for zero.
     pub fn inv(&self, a: Fp) -> Option<Fp> {
         self.mont.inv(&a.0).map(Fp)

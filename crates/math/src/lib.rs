@@ -42,9 +42,13 @@ pub use fp2::Fp2;
 pub use fr::Fr;
 pub use uint::{HexParseError, Uint};
 
-/// Number of 64-bit limbs in a base-field element (supports `p` up to 512 bits).
+/// Number of 64-bit limbs that *store* a base-field element (supports `p`
+/// up to 512 bits). This is the storage and encoding width, not the
+/// arithmetic width: [`mont::MontCtx`] multiplies at the width of `p`
+/// (3 limbs for fast-192, 8 for standard-512).
 pub const FP_LIMBS: usize = 8;
-/// Number of 64-bit limbs in a scalar-field element (supports `q` up to 256 bits).
+/// Number of 64-bit limbs that *store* a scalar-field element (supports
+/// `q` up to 256 bits). The 160-bit `q` is multiplied at 3 limbs.
 pub const FR_LIMBS: usize = 4;
 
 /// A base-field-width integer.

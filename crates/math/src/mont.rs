@@ -1,15 +1,24 @@
 //! Montgomery-form modular arithmetic over a runtime odd modulus.
 //!
 //! [`MontCtx`] precomputes everything needed for CIOS Montgomery
-//! multiplication over an `N`-limb odd modulus `m`: the negated inverse of
-//! `m` modulo `2^64`, and the Montgomery radix constants `R mod m` and
-//! `R^2 mod m` (with `R = 2^{64N}`).
+//! multiplication modulo an odd `m` stored in `N` limbs: the negated
+//! inverse of `m` modulo `2^64`, and the Montgomery radix constants
+//! `R mod m` and `R^2 mod m`.
+//!
+//! The arithmetic runs at the *width* `w` of the modulus, not at the
+//! storage width `N`: `w = 3` for a modulus of 129–192 bits (fast-192's
+//! `p`, the 160-bit group order `q`), and `w = N` for any other size
+//! (standard-512's `p`). The radix is `R = 2^{64w}`. Every residue keeps
+//! the limbs from `w` up zero, so two equal residues are equal `Uint<N>`s.
 //!
 //! Values handled by a context are *Montgomery residues* (`a·R mod m`); the
 //! caller is responsible for tracking which representation a [`Uint`] is in
 //! (the field wrappers in [`crate::fp`] / [`crate::fr`] do exactly that).
 
 use crate::uint::{adc, mac, sbb, Uint};
+
+/// Limb count of the narrow kernels: moduli of 129–192 bits.
+const NARROW: usize = 3;
 
 /// Precomputed context for Montgomery arithmetic modulo an odd `m`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,23 +27,37 @@ pub struct MontCtx<const N: usize> {
     pub modulus: Uint<N>,
     /// `-m^{-1} mod 2^64`.
     pub neg_inv: u64,
-    /// `R mod m` — the Montgomery form of 1.
+    /// `R mod m` (`R = 2^{64w}` at width `w`) — the Montgomery form of 1.
     pub r: Uint<N>,
     /// `R^2 mod m` — used to convert into Montgomery form.
     pub r2: Uint<N>,
     /// `m - 2`, the Fermat inversion exponent (valid when `m` is prime).
     pub m_minus_2: Uint<N>,
+    /// Limbs the arithmetic runs at: [`NARROW`] or `N`.
+    width: usize,
 }
 
 impl<const N: usize> MontCtx<N> {
-    /// Builds a context for the given odd modulus.
+    /// Builds a context for the given odd modulus, at the modulus's width.
     ///
     /// # Panics
     ///
     /// Panics if `modulus` is even or ≤ 1.
     pub fn new(modulus: Uint<N>) -> Self {
+        let width = if N > NARROW && modulus.bits().div_ceil(64) == NARROW {
+            NARROW
+        } else {
+            N
+        };
+        Self::at_width(modulus, width)
+    }
+
+    /// Builds a context that runs at `width` limbs (`NARROW` or `N`), so
+    /// `R = 2^{64·width}`.
+    fn at_width(modulus: Uint<N>, width: usize) -> Self {
         assert!(modulus.is_odd(), "Montgomery modulus must be odd");
         assert!(modulus > Uint::one(), "modulus must exceed 1");
+        debug_assert!(width == N || (width == NARROW && modulus.bits() <= 64 * NARROW));
 
         // Newton iteration for m^{-1} mod 2^64 (5 steps double the precision).
         let m0 = modulus.0[0];
@@ -44,10 +67,10 @@ impl<const N: usize> MontCtx<N> {
         }
         let neg_inv = inv.wrapping_neg();
 
-        // R mod m by doubling 1, 64N times, reducing each step.
+        // R mod m by doubling 1, 64·width times, reducing each step.
         let mut r = Uint::one();
         // ensure r < m to start (m > 1 so fine)
-        for _ in 0..64 * N {
+        for _ in 0..64 * width {
             let (d, carry) = r.shl1();
             r = d;
             if carry || r >= modulus {
@@ -55,9 +78,9 @@ impl<const N: usize> MontCtx<N> {
                 r = s;
             }
         }
-        // R^2 mod m by doubling another 64N times.
+        // R^2 mod m by doubling another 64·width times.
         let mut r2 = r;
-        for _ in 0..64 * N {
+        for _ in 0..64 * width {
             let (d, carry) = r2.shl1();
             r2 = d;
             if carry || r2 >= modulus {
@@ -74,50 +97,22 @@ impl<const N: usize> MontCtx<N> {
             r,
             r2,
             m_minus_2,
+            width,
         }
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R^{-1} mod m`.
+    /// Montgomery multiplication: returns `a·b·R^{-1} mod m`.
     ///
-    /// Inputs must be `< m`; the output is `< m`.
-    #[inline]
-    #[allow(clippy::needless_range_loop)] // limb indexing is the idiom here
+    /// Inputs must be `< m`; the output is `< m`. Kept out of line: with
+    /// both kernels inlined into every caller, a standard-512 prepared
+    /// evaluation ran ~8% slower than one call per multiplication.
+    #[inline(never)]
     pub fn mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        let m = &self.modulus.0;
-        let mut t = [0u64; N];
-        let mut t_n = 0u64;
-
-        for i in 0..N {
-            // t += a[i] * b
-            let mut carry = 0u64;
-            for j in 0..N {
-                let (lo, hi) = mac(t[j], a.0[i], b.0[j], carry);
-                t[j] = lo;
-                carry = hi;
-            }
-            let (s, c) = adc(t_n, carry, 0);
-            t_n = s;
-            let t_n1 = c;
-
-            // u = t[0] * neg_inv; t += u * m; t >>= 64
-            let u = t[0].wrapping_mul(self.neg_inv);
-            let (_, mut carry) = mac(t[0], u, m[0], 0);
-            for j in 1..N {
-                let (lo, hi) = mac(t[j], u, m[j], carry);
-                t[j - 1] = lo;
-                carry = hi;
-            }
-            let (s, c) = adc(t_n, carry, 0);
-            t[N - 1] = s;
-            t_n = t_n1 + c; // t_n1 ∈ {0,1}, no overflow
+        if self.width == NARROW {
+            cios::<NARROW, N>(a, b, &self.modulus, self.neg_inv)
+        } else {
+            cios::<N, N>(a, b, &self.modulus, self.neg_inv)
         }
-
-        let mut out = Uint(t);
-        if t_n != 0 || out >= self.modulus {
-            let (d, _) = out.sub_borrow(&self.modulus);
-            out = d;
-        }
-        out
     }
 
     /// Montgomery squaring (delegates to [`MontCtx::mul`]).
@@ -138,26 +133,26 @@ impl<const N: usize> MontCtx<N> {
     }
 
     /// Modular addition of two residues (either form, consistently).
-    #[inline]
+    ///
+    /// `add` and `sub` are inlined at every call: left to the compiler,
+    /// a 13-pair prepared evaluation ran ~1% (standard-512) to ~2%
+    /// (fast-192) slower.
+    #[inline(always)]
     pub fn add(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        let (s, carry) = a.add_carry(b);
-        if carry || s >= self.modulus {
-            let (d, _) = s.sub_borrow(&self.modulus);
-            d
+        if self.width == NARROW {
+            add_mod::<NARROW, N>(a, b, &self.modulus)
         } else {
-            s
+            add_mod::<N, N>(a, b, &self.modulus)
         }
     }
 
     /// Modular subtraction of two residues.
-    #[inline]
+    #[inline(always)]
     pub fn sub(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        let (d, borrow) = a.sub_borrow(b);
-        if borrow {
-            let (s, _) = d.add_carry(&self.modulus);
-            s
+        if self.width == NARROW {
+            sub_mod::<NARROW, N>(a, b, &self.modulus)
         } else {
-            d
+            sub_mod::<N, N>(a, b, &self.modulus)
         }
     }
 
@@ -167,8 +162,7 @@ impl<const N: usize> MontCtx<N> {
         if a.is_zero() {
             *a
         } else {
-            let (d, _) = self.modulus.sub_borrow(a);
-            d
+            self.sub(&self.modulus, a)
         }
     }
 
@@ -234,37 +228,109 @@ impl<const N: usize> MontCtx<N> {
     }
 }
 
-/// Helpers shared with tests: schoolbook wide add used in test oracles.
-#[doc(hidden)]
-#[allow(clippy::needless_range_loop)]
-pub fn add_limbs(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-    let mut c = 0u64;
-    for i in 0..out.len() {
-        let (s, c2) = adc(
-            a.get(i).copied().unwrap_or(0),
-            b.get(i).copied().unwrap_or(0),
-            c,
-        );
-        out[i] = s;
-        c = c2;
+/// CIOS Montgomery multiplication on the low `W` limbs:
+/// `a·b·2^{-64W} mod m`.
+///
+/// Inputs must be `< m`; the output is `< m`. The limbs of `a`, `b` and
+/// `m` from `W` up must be zero, and so are the output's.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // limb indexing is the idiom here
+fn cios<const W: usize, const N: usize>(
+    a: &Uint<N>,
+    b: &Uint<N>,
+    m: &Uint<N>,
+    neg_inv: u64,
+) -> Uint<N> {
+    let (a, b, m) = (&a.0, &b.0, &m.0);
+    let mut t = [0u64; N];
+    let mut t_n = 0u64;
+
+    for i in 0..W {
+        // t += a[i] * b
+        let mut carry = 0u64;
+        for j in 0..W {
+            let (lo, hi) = mac(t[j], a[i], b[j], carry);
+            t[j] = lo;
+            carry = hi;
+        }
+        let (s, c) = adc(t_n, carry, 0);
+        t_n = s;
+        let t_n1 = c;
+
+        // u = t[0] * neg_inv; t += u * m; t >>= 64
+        let u = t[0].wrapping_mul(neg_inv);
+        let (_, mut carry) = mac(t[0], u, m[0], 0);
+        for j in 1..W {
+            let (lo, hi) = mac(t[j], u, m[j], carry);
+            t[j - 1] = lo;
+            carry = hi;
+        }
+        let (s, c) = adc(t_n, carry, 0);
+        t[W - 1] = s;
+        t_n = t_n1 + c; // t_n1 ∈ {0,1}, no overflow
     }
-    c
+
+    if t_n != 0 || geq_limbs::<W, N>(&t, m) {
+        t = sbb_limbs::<W, N>(&t, m).0;
+    }
+    Uint(t)
 }
 
-#[doc(hidden)]
-#[allow(clippy::needless_range_loop)]
-pub fn sub_limbs(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-    let mut bo = 0u64;
-    for i in 0..out.len() {
-        let (d, b2) = sbb(
-            a.get(i).copied().unwrap_or(0),
-            b.get(i).copied().unwrap_or(0),
-            bo,
-        );
-        out[i] = d;
-        bo = b2;
+/// `(a + b) mod m` for residues `a, b < m` on the low `W` limbs.
+#[inline(always)]
+fn add_mod<const W: usize, const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
+    let (s, carry) = adc_limbs::<W, N>(&a.0, &b.0);
+    if carry || geq_limbs::<W, N>(&s, &m.0) {
+        Uint(sbb_limbs::<W, N>(&s, &m.0).0)
+    } else {
+        Uint(s)
     }
-    bo
+}
+
+/// `(a − b) mod m` for residues `a, b < m` on the low `W` limbs.
+#[inline(always)]
+fn sub_mod<const W: usize, const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
+    let (d, borrow) = sbb_limbs::<W, N>(&a.0, &b.0);
+    if borrow {
+        Uint(adc_limbs::<W, N>(&d, &m.0).0)
+    } else {
+        Uint(d)
+    }
+}
+
+/// `a + b` on the low `W` limbs, with the carry out.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // limb indexing is the idiom here
+fn adc_limbs<const W: usize, const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], bool) {
+    let mut out = [0u64; N];
+    let mut c = 0u64;
+    for i in 0..W {
+        (out[i], c) = adc(a[i], b[i], c);
+    }
+    (out, c != 0)
+}
+
+/// `a − b` on the low `W` limbs, with the borrow out.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // limb indexing is the idiom here
+fn sbb_limbs<const W: usize, const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], bool) {
+    let mut out = [0u64; N];
+    let mut bo = 0u64;
+    for i in 0..W {
+        (out[i], bo) = sbb(a[i], b[i], bo);
+    }
+    (out, bo != 0)
+}
+
+/// `a ≥ b` on the low `W` limbs.
+#[inline(always)]
+fn geq_limbs<const W: usize, const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    for i in (0..W).rev() {
+        if a[i] != b[i] {
+            return a[i] > b[i];
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -377,5 +443,127 @@ mod tests {
         let b = ctx.to_mont(&Uint::from_u64(123456789));
         let prod = ctx.from_mont(&ctx.mul(&a, &b));
         assert_eq!(to_u128(prod), 987654321u128 * 123456789u128 % to_u128(m));
+    }
+
+    /// The moduli the kernels serve: the `p` of `CurveParams::fast()`
+    /// (192 bits) and of `CurveParams::standard()` (512 bits), and the
+    /// group order `q`. Written out, so that a broken kernel cannot stall
+    /// the primality search that generates them.
+    fn curve_moduli() -> (crate::UintP, crate::UintP, crate::UintR) {
+        (
+            Uint::from_be_hex("d9fa690c000000000000000000000000000367eb5824d217"),
+            Uint::from_be_hex(concat!(
+                "8a4a1e3ff0113155858340cda480752fd749d58ada0ab11ec38bb8906d4d2fc8",
+                "c4ef5994de6e2de69ec60fe33b87fbf12eced51396b81d9389d8185324685dc3"
+            )),
+            crate::prime::group_order(),
+        )
+    }
+
+    /// Checks `mul`, `sqr`, `add`, `sub`, `neg` and the `to_mont` /
+    /// `from_mont` round trip on plain residues `a, b < m`: the context's
+    /// width kernel, the `N`-limb reference context and schoolbook
+    /// `mul_wide` + `reduce_wide` must give the same canonical results, and
+    /// every Montgomery-form output must stay below `m` (so its limbs
+    /// above the width stay zero).
+    fn check_against_references<const N: usize>(ctx: &MontCtx<N>, a: Uint<N>, b: Uint<N>) {
+        let m = &ctx.modulus;
+        let carry = |c: bool| Uint::from_u64(u64::from(c));
+        let (mul_lo, mul_hi) = a.mul_wide(&b);
+        let (sqr_lo, sqr_hi) = a.mul_wide(&a);
+        let (sum, sum_carry) = a.add_carry(&b);
+        let (diff, diff_carry) = a.add_carry(&m.sub_borrow(&b).0);
+        let want = [
+            Uint::reduce_wide(&mul_lo, &mul_hi, m),
+            Uint::reduce_wide(&sqr_lo, &sqr_hi, m),
+            Uint::reduce_wide(&sum, &carry(sum_carry), m),
+            Uint::reduce_wide(&diff, &carry(diff_carry), m),
+            Uint::reduce_wide(&m.sub_borrow(&a).0, &Uint::ZERO, m),
+        ];
+        let reference = MontCtx::at_width(*m, N);
+        for c in [ctx, &reference] {
+            let (am, bm) = (c.to_mont(&a), c.to_mont(&b));
+            assert_eq!(c.from_mont(&am), a, "round trip, width {}", c.width);
+            let got = [
+                c.mul(&am, &bm),
+                c.sqr(&am),
+                c.add(&am, &bm),
+                c.sub(&am, &bm),
+                c.neg(&am),
+            ];
+            for (op, (got, want)) in ["mul", "sqr", "add", "sub", "neg"]
+                .iter()
+                .zip(got.iter().zip(want))
+            {
+                assert!(got < m, "{op} left the residue range, width {}", c.width);
+                assert_eq!(c.from_mont(got), want, "{op}, width {}", c.width);
+            }
+        }
+    }
+
+    /// `0`, `1`, `m − 1` and `R mod m` at both the context's width and
+    /// the reference width `N`.
+    fn edge_values<const N: usize>(ctx: &MontCtx<N>) -> Vec<Uint<N>> {
+        let m_minus_1 = ctx.modulus.sub_borrow(&Uint::one()).0;
+        let reference = MontCtx::at_width(ctx.modulus, N);
+        vec![Uint::ZERO, Uint::one(), m_minus_1, ctx.r, reference.r]
+    }
+
+    #[test]
+    fn curve_moduli_run_at_their_width() {
+        fn radix_2_192<const N: usize>() -> Uint<N> {
+            let mut r = Uint::ZERO;
+            r.0[3] = 1;
+            r
+        }
+        let (fast, standard, q) = curve_moduli();
+        let (fast, standard, q) = (MontCtx::new(fast), MontCtx::new(standard), MontCtx::new(q));
+        assert_eq!((fast.width, standard.width, q.width), (3, 8, 3));
+        // R = 2^{64·3} for the narrow contexts
+        assert_eq!(
+            fast.r,
+            Uint::reduce_wide(&radix_2_192(), &Uint::ZERO, &fast.modulus)
+        );
+        assert_eq!(
+            q.r,
+            Uint::reduce_wide(&radix_2_192(), &Uint::ZERO, &q.modulus)
+        );
+    }
+
+    #[test]
+    fn width_kernels_match_references_on_edge_values() {
+        let (fast, standard, q) = curve_moduli();
+        for ctx in [MontCtx::new(fast), MontCtx::new(standard)] {
+            let edges = edge_values(&ctx);
+            for &a in &edges {
+                for &b in &edges {
+                    check_against_references(&ctx, a, b);
+                }
+            }
+        }
+        let ctx = MontCtx::new(q);
+        let edges = edge_values(&ctx);
+        for &a in &edges {
+            for &b in &edges {
+                check_against_references(&ctx, a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_width_kernels_match_references(seed in proptest::prelude::any::<u64>()) {
+            use crate::prime::random_below;
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (fast, standard, q) = curve_moduli();
+            for m in [fast, standard] {
+                let ctx = MontCtx::new(m);
+                let (a, b) = (random_below(&m, &mut rng), random_below(&m, &mut rng));
+                check_against_references(&ctx, a, b);
+            }
+            let (a, b) = (random_below(&q, &mut rng), random_below(&q, &mut rng));
+            check_against_references(&MontCtx::new(q), a, b);
+        }
     }
 }

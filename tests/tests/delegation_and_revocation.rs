@@ -162,6 +162,41 @@ fn tampered_capability_bytes_rejected_or_useless() {
 }
 
 #[test]
+fn two_torsion_point_in_capability_fails_at_decode() {
+    let sys = tiny_system();
+    let mut rng = StdRng::seed_from_u64(15);
+    let (pk, msk) = sys.setup(&mut rng);
+    let cap = sys
+        .gen_cap(
+            &pk,
+            &msk,
+            &Query::new().equals("illness", "flu"),
+            &QueryPolicy::default(),
+            &mut rng,
+        )
+        .unwrap();
+    let mut w = Writer::new();
+    cap.encode(sys.params(), &mut w);
+    let bytes = w.finish();
+    // schema digest (32 B), level (4 B), k*_dec dimension (4 B), then
+    // k*_dec's first point
+    let first = 32 + 4 + 4;
+    let len = apks_curve::G1Affine::ENCODED_LEN;
+    for flag in [2u8, 3] {
+        // (0, 0) under either sign flag: x = 0, then the flag byte
+        let mut tampered = bytes.clone();
+        tampered[first..first + len - 1].fill(0);
+        tampered[first + len - 1] = flag;
+        let mut r = Reader::new(&tampered);
+        assert!(
+            apks_core::Capability::decode(sys.params(), &mut r).is_err(),
+            "flag {flag}: the 2-torsion point must be refused at decode, \
+             before prepare_capability can meet it"
+        );
+    }
+}
+
+#[test]
 fn query_errors_surface_cleanly() {
     let sys = tiny_system();
     let mut rng = StdRng::seed_from_u64(14);
