@@ -1489,6 +1489,36 @@ mod tests {
     }
 
     #[test]
+    fn scan_refuses_a_capability_point_outside_the_group() {
+        let (server, ta, mut rng) = deployment();
+        upload_corpus(&server, &ta, &mut rng);
+        let mut cap = ta
+            .issue_capability(
+                &Query::new().equals("illness", "flu"),
+                &QueryPolicy::default(),
+                &mut rng,
+            )
+            .unwrap()
+            .capability;
+        // the order-4 point (±1, y): it decodes, and doubles to (0, 0)
+        let fp = ta.system().params().fp();
+        cap.key.dec.0[0] = [fp.one(), fp.neg(fp.one())]
+            .into_iter()
+            .find_map(|x| {
+                let mut bytes = fp.to_bytes(x);
+                bytes.push(2);
+                apks_curve::G1Affine::from_bytes(fp, &bytes)
+            })
+            .expect("x = 1 or x = p − 1 lies on the curve");
+        match server.scan(&cap) {
+            Err(SearchOutcome::Apks(e)) => {
+                assert_eq!(e, ApksError::Hpe(apks_hpe::HpeError::KeyOutsideGroup))
+            }
+            other => panic!("expected an APKS error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn strict_search_fails_on_a_foreign_index_that_bounded_search_skips() {
         let (server, ta, mut rng) = deployment();
         let ids = upload_corpus(&server, &ta, &mut rng);

@@ -347,11 +347,13 @@ impl ApksSystem {
     ///
     /// # Errors
     ///
-    /// Fails on deployment mismatch.
+    /// Fails on deployment mismatch, and with
+    /// [`HpeError::KeyOutsideGroup`](apks_hpe::HpeError::KeyOutsideGroup)
+    /// if a key point is neither the identity nor of order `q`.
     pub fn prepare_capability(&self, cap: &Capability) -> Result<PreparedCapability, ApksError> {
         self.check_digest(cap.digest)?;
         Ok(PreparedCapability {
-            key: self.hpe.prepare_key(&cap.key),
+            key: self.hpe.prepare_key(&cap.key)?,
             digest: cap.digest,
         })
     }
@@ -562,6 +564,49 @@ mod tests {
                 sys.search_prepared(&pk, &prep, &idx).unwrap(),
                 sys.search(&pk, &cap, &idx).unwrap(),
                 "verdict diverged for age={age} sex={sex}"
+            );
+        }
+    }
+
+    /// The order-4 point `(±1, y)`, which decodes and doubles to `(0, 0)`.
+    fn order_four_point(params: &CurveParams) -> apks_curve::G1Affine {
+        let fp = params.fp();
+        [fp.one(), fp.neg(fp.one())]
+            .into_iter()
+            .find_map(|x| {
+                let mut bytes = fp.to_bytes(x);
+                bytes.push(2);
+                apks_curve::G1Affine::from_bytes(fp, &bytes)
+            })
+            .expect("x = 1 or x = p − 1 lies on the curve")
+    }
+
+    #[test]
+    fn prepare_refuses_a_key_point_outside_the_group() {
+        for params in [CurveParams::fast(), CurveParams::standard()] {
+            let schema = Schema::builder().flat_field("sex", 1).build().unwrap();
+            let sys = ApksSystem::new(params.clone(), schema);
+            let mut rng = StdRng::seed_from_u64(509);
+            let (pk, msk) = sys.setup(&mut rng);
+            let query = Query::new().equals("sex", "male");
+            let cap = sys
+                .gen_cap(&pk, &msk, &query, &QueryPolicy::default(), &mut rng)
+                .unwrap();
+            assert!(sys.prepare_capability(&cap).is_ok());
+            // outside bytes: a capability whose first k*_dec coordinate is
+            // the order-4 point still decodes
+            let mut bad = cap.clone();
+            bad.key.dec.0[0] = order_four_point(&params);
+            let mut w = Writer::new();
+            bad.encode(&params, &mut w);
+            let bytes = w.finish();
+            let decoded = Capability::decode(&params, &mut Reader::new(&bytes)).unwrap();
+            assert_eq!(decoded, bad);
+            assert_eq!(
+                sys.prepare_capability(&decoded).unwrap_err(),
+                ApksError::Hpe(apks_hpe::HpeError::KeyOutsideGroup),
+                "{}",
+                params.label()
             );
         }
     }

@@ -1,6 +1,8 @@
-//! Times the three costs that the field width sets, on both curves: one
-//! `F_p` multiplication, one 13-pair prepared evaluation (the scan's
-//! per-index work at n = 10) and one scalar multiplication.
+//! Times the costs that the field width sets, on both curves: one `F_p`
+//! multiplication, one 13-pair prepared evaluation (the scan's per-index
+//! work at n = 10), a wave of four such evaluations against one document
+//! (per capability) and one scalar multiplication; and prints the heap
+//! bytes of one prepared 13-coordinate capability.
 //!
 //! ```text
 //! cargo run --release -p apks-curve --example field_costs
@@ -47,16 +49,29 @@ fn row(params: &Arc<CurveParams>) {
     );
     let fp_mul = median_ns(100_000, || x = fp.mul(black_box(x), y));
 
-    let lhs: Vec<G1Affine> = (0..13).map(|_| point()).collect();
+    // four capabilities of 13 coordinates, and one document
+    let caps: Vec<Vec<PreparedG1>> = (0..4)
+        .map(|_| {
+            let lhs: Vec<G1Affine> = (0..13).map(|_| point()).collect();
+            PreparedG1::new_many(params, &lhs).expect("order-q points")
+        })
+        .collect();
     let rhs: Vec<G1Affine> = (0..13).map(|_| point()).collect();
-    let prepared = PreparedG1::new_many(params, &lhs);
-    let pairs: Vec<(&PreparedG1, G1Affine)> = prepared.iter().zip(rhs.iter().copied()).collect();
+    let waves: Vec<Vec<(&PreparedG1, G1Affine)>> = caps
+        .iter()
+        .map(|cap| cap.iter().zip(rhs.iter().copied()).collect())
+        .collect();
+    let groups: Vec<&[(&PreparedG1, G1Affine)]> = waves.iter().map(|g| g.as_slice()).collect();
     let eval = median_ns(20, || {
-        black_box(multi_pairing_prepared_many(
-            params,
-            &[black_box(&pairs[..])],
-        ));
+        black_box(multi_pairing_prepared_many(params, black_box(&groups[..1])));
     });
+    let wave = median_ns(5, || {
+        black_box(multi_pairing_prepared_many(params, black_box(&groups)));
+    }) / groups.len() as f64;
+    let cap_bytes: usize = caps[0]
+        .iter()
+        .map(|p| std::mem::size_of::<PreparedG1>() + p.heap_bytes())
+        .sum();
 
     let base = point();
     let k = Fr::random_nonzero(&mut StdRng::seed_from_u64(10));
@@ -65,17 +80,22 @@ fn row(params: &Arc<CurveParams>) {
     });
 
     println!(
-        "| {} | {:.1} ns | {:.0} µs | {:.0} µs |",
+        "| {} | {:.1} ns | {:.0} µs | {:.0} µs | {:.0} µs | {:.1} KB |",
         params.label(),
         fp_mul,
         eval / 1e3,
-        scalar_mul / 1e3
+        wave / 1e3,
+        scalar_mul / 1e3,
+        cap_bytes as f64 / 1e3
     );
 }
 
 fn main() {
-    println!("| curve | `F_p` mul | 13-pair prepared evaluation | scalar multiplication |");
-    println!("|---|---|---|---|");
+    println!(
+        "| curve | `F_p` mul | 13-pair prepared evaluation | 4-capability wave, per capability \
+         | scalar multiplication | prepared capability |"
+    );
+    println!("|---|---|---|---|---|---|");
     row(&CurveParams::fast());
     row(&CurveParams::standard());
 }

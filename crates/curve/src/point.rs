@@ -281,25 +281,35 @@ impl G1Projective {
             return G1Projective::identity(fp);
         }
         let digits = wnaf4(&k.to_uint());
-        // odd multiples P, 3P, 5P, 7P (covering |digit| ∈ {1,3,5,7})
-        let two_p = self.double(fp);
-        let mut table = Vec::with_capacity(4);
-        table.push(*self);
-        for i in 1..4 {
-            let prev: G1Projective = table[i - 1];
-            table.push(prev.add(fp, &two_p));
-        }
-        let table_aff = batch_to_affine(fp, &table);
+        let table = batch_to_affine(fp, &self.odd_multiples(fp));
         let mut acc = G1Projective::identity(fp);
         for &d in digits.iter().rev() {
             acc = acc.double(fp);
-            if d > 0 {
-                acc = acc.add_mixed(fp, &table_aff[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = acc.add_mixed(fp, &table_aff[((-d) as usize - 1) / 2].neg(fp));
-            }
+            acc = acc.add_wnaf_digit(fp, d, &table);
         }
         acc
+    }
+
+    /// The odd multiples `P, 3P, 5P, 7P` that the width-4 NAF digits
+    /// `±1, ±3, ±5, ±7` ([`wnaf4`]) select.
+    pub fn odd_multiples(&self, fp: &FpCtx) -> [G1Projective; 4] {
+        let two_p = self.double(fp);
+        let mut table = [*self; 4];
+        for i in 1..4 {
+            table[i] = table[i - 1].add(fp, &two_p);
+        }
+        table
+    }
+
+    /// Adds `d·P` for a width-4 NAF digit `d`, given the affine
+    /// [odd multiples](G1Projective::odd_multiples) of `P`.
+    #[inline]
+    pub fn add_wnaf_digit(&self, fp: &FpCtx, d: i8, odd_multiples: &[G1Affine]) -> Self {
+        if d == 0 {
+            return *self;
+        }
+        let p = odd_multiples[(d.unsigned_abs() as usize - 1) / 2];
+        self.add_mixed(fp, &if d > 0 { p } else { p.neg(fp) })
     }
 
     /// Plain double-and-add scalar multiplication (reference oracle for
@@ -323,8 +333,9 @@ impl G1Projective {
 }
 
 /// Width-4 non-adjacent form: digits in `{0, ±1, ±3, ±5, ±7}`, least
-/// significant first.
-fn wnaf4(scalar: &apks_math::UintR) -> Vec<i8> {
+/// significant first; at most one of any four consecutive digits is
+/// nonzero.
+pub fn wnaf4(scalar: &apks_math::UintR) -> Vec<i8> {
     let mut k = *scalar;
     let mut out = Vec::with_capacity(k.bits() + 1);
     while !k.is_zero() {

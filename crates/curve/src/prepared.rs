@@ -10,93 +10,70 @@
 //! Stored line form: `l(Q) = (a + b·x_Q) + i·y_Q` — the imaginary
 //! coefficient of an affine tangent/chord line is always 1, so it is
 //! not stored and evaluation reads `y_Q` directly.
+//!
+//! Storage: `q = 2^159 + 2^17 + 1`, so the walk of a point of order `q`
+//! has 159 doubling lines and one interior addition line (bit 17); the
+//! bit-0 step is the final vertical and stores nothing. Each line is the
+//! Montgomery residues of `a` and `b` at the width `w` of `p` (`2·w`
+//! limbs: 48 B on fast-192, 128 B on standard-512).
+//!
+//! Evaluation: every prepared pairing, single or multi, one group or a
+//! wave of them, runs through one lockstep Miller kernel on `[u64; W]`
+//! values, instantiated at the two widths `p` runs at.
 
 use crate::pairing::{final_exponentiation, MillerValue};
 use crate::params::CurveParams;
 use crate::point::{batch_invert, G1Affine};
 use apks_math::fp::{Fp, FpCtx};
-use apks_math::fp2::{Fp2, Fp2Ops};
-use apks_math::Fr;
-
-/// One precomputed Miller step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Step {
-    /// A line with coefficients `(a, b)`; evaluation is
-    /// `(a + b·x_Q) + i·y_Q`.
-    Line { a: Fp, b: Fp },
-    /// A squaring-only step (vertical line dropped at the loop tail).
-    Skip,
-}
+use apks_math::fp2::Fp2;
+use apks_math::mont::{MontKernel, NARROW};
+use apks_math::{Fr, FP_LIMBS};
 
 /// A first pairing argument with its Miller lines precomputed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedG1 {
-    /// `(double-step line, optional add-step line)` per loop iteration.
-    steps: Vec<(Step, Option<Step>)>,
-    infinity: bool,
+    /// The walk's lines in order, each as the Montgomery residues of `a`
+    /// and then `b` at the width of `p`; empty for the identity.
+    lines: Vec<u64>,
 }
 
 impl PreparedG1 {
-    /// Preprocesses a point.
+    /// Preprocesses a point: the per-point reference for
+    /// [`PreparedG1::new_many`], with one inversion per walk step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not the identity and not of order `q` (the walk
+    /// meets `y = 0` or a vertical line early, or does not end at
+    /// `[q − 1]P = −P`).
     pub fn new(params: &CurveParams, p: &G1Affine) -> Self {
         let fp = params.fp();
         if p.infinity {
-            return PreparedG1 {
-                steps: Vec::new(),
-                infinity: true,
-            };
+            return PreparedG1 { lines: Vec::new() };
         }
         let order = Fr::modulus();
-        let nbits = order.bits();
-        let mut steps = Vec::with_capacity(nbits - 1);
+        let mut lines = Vec::with_capacity(2 * fp.width() * line_count());
 
         // Affine walk with per-step inversion: preprocessing is a one-time
         // cost, and affine coefficients are what we must store anyway.
-        let mut tx = p.x;
-        let mut ty = p.y;
-        let mut t_inf = false;
-        for i in (0..nbits - 1).rev() {
-            let dbl = if t_inf {
-                Step::Skip
-            } else {
-                // tangent: λ = (3x²+1)/(2y); line c0 = λ(x_Q + x_T) − y_T,
-                // so a = λ·x_T − y_T, b = λ.
-                let num = fp.add(fp.add(fp.dbl(fp.sqr(tx)), fp.sqr(tx)), fp.one());
-                let lambda = fp.mul(num, fp.inv(fp.dbl(ty)).expect("y ≠ 0"));
-                let a = fp.sub(fp.mul(lambda, tx), ty);
-                let step = Step::Line { a, b: lambda };
-                let x3 = fp.sub(fp.sqr(lambda), fp.dbl(tx));
-                let y3 = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
-                tx = x3;
-                ty = y3;
-                step
-            };
-            let add = if order.bit(i) && !t_inf {
-                if tx == p.x {
-                    t_inf = true;
-                    Some(Step::Skip)
-                } else {
-                    let lambda = fp.mul(
-                        fp.sub(ty, p.y),
-                        fp.inv(fp.sub(tx, p.x)).expect("distinct x"),
-                    );
-                    let a = fp.sub(fp.mul(lambda, tx), ty);
-                    let step = Step::Line { a, b: lambda };
-                    let x3 = fp.sub(fp.sqr(lambda), fp.add(tx, p.x));
-                    let y3 = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
-                    tx = x3;
-                    ty = y3;
-                    Some(step)
-                }
-            } else {
-                None
-            };
-            steps.push((dbl, add));
+        let mut t = (p.x, p.y);
+        for i in (0..order.bits() - 1).rev() {
+            // tangent: λ = (3x²+1)/(2y); line c0 = λ(x_Q + x_T) − y_T,
+            // so a = λ·x_T − y_T, b = λ.
+            let den = fp.inv(fp.dbl(t.1)).expect("y ≠ 0 on the walk");
+            let lambda = fp.mul(tangent_numerator(fp, t.0), den);
+            t = push_line(fp, &mut lines, lambda, t, t.0);
+            if i > 0 && order.bit(i) {
+                let den = fp.inv(fp.sub(t.0, p.x)).expect("T ≠ ±P before the end");
+                let lambda = fp.mul(fp.sub(t.1, p.y), den);
+                t = push_line(fp, &mut lines, lambda, t, p.x);
+            }
         }
-        PreparedG1 {
-            steps,
-            infinity: false,
-        }
+        assert!(
+            ends_at_minus_p(fp, t, p),
+            "[q − 1]P = −P for a point of order q"
+        );
+        PreparedG1 { lines }
     }
 
     /// Preprocesses several points in one lockstep walk of their Miller
@@ -105,130 +82,210 @@ impl PreparedG1 {
     /// [`crate::point::batch_to_affine`] uses) instead of one inversion
     /// each, which is nearly all of the cost of [`PreparedG1::new`].
     ///
-    /// Element `i` equals `PreparedG1::new(params, &points[i])` line for
+    /// The walk computes `[q − 1]P`, so it doubles as a subgroup check:
+    /// its last step is the vertical `T = −P`, and no earlier step meets
+    /// `y = 0` or a vertical, exactly when `P ≠ O` has order `q`. `None`
+    /// if any point is neither the identity nor of order `q`; otherwise
+    /// element `i` equals `PreparedG1::new(params, &points[i])` line for
     /// line.
-    pub fn new_many(params: &CurveParams, points: &[G1Affine]) -> Vec<Self> {
+    pub fn new_many(params: &CurveParams, points: &[G1Affine]) -> Option<Vec<Self>> {
         let fp = params.fp();
         let order = Fr::modulus();
-        let nbits = order.bits();
+        let capacity = 2 * fp.width() * line_count();
         let mut out: Vec<PreparedG1> = points
             .iter()
             .map(|p| PreparedG1 {
-                steps: Vec::with_capacity(if p.infinity { 0 } else { nbits - 1 }),
-                infinity: p.infinity,
+                lines: Vec::with_capacity(if p.infinity { 0 } else { capacity }),
             })
             .collect();
-        // the running point T of every non-identity point; `None` once T
-        // reaches infinity
-        let mut walk: Vec<(usize, Option<(Fp, Fp)>)> = points
+        // the running point T of every non-identity point
+        let mut walk: Vec<(usize, (Fp, Fp))> = points
             .iter()
             .enumerate()
             .filter(|(_, p)| !p.infinity)
-            .map(|(k, p)| (k, Some((p.x, p.y))))
+            .map(|(k, p)| (k, (p.x, p.y)))
             .collect();
         let mut dens = Vec::with_capacity(walk.len());
-        for i in (0..nbits - 1).rev() {
+        for i in (0..order.bits() - 1).rev() {
             // tangent at T: λ = (3x²+1)/(2y), as in `new`
             dens.clear();
-            dens.extend(walk.iter().flat_map(|(_, t)| t.map(|(_, ty)| fp.dbl(ty))));
-            batch_invert(fp, &mut dens).expect("y ≠ 0");
-            let mut inv = dens.iter();
-            for (k, t) in &mut walk {
-                let dbl = match *t {
-                    None => Step::Skip,
-                    Some((tx, ty)) => {
-                        let den_inv = *inv.next().expect("one denominator per live walk");
-                        let num = fp.add(fp.add(fp.dbl(fp.sqr(tx)), fp.sqr(tx)), fp.one());
-                        let (step, next) = line_step(fp, fp.mul(num, den_inv), (tx, ty), tx);
-                        *t = Some(next);
-                        step
-                    }
-                };
-                out[*k].steps.push((dbl, None));
+            dens.extend(walk.iter().map(|(_, (_, ty))| fp.dbl(*ty)));
+            batch_invert(fp, &mut dens)?;
+            for ((k, t), den_inv) in walk.iter_mut().zip(&dens) {
+                let lambda = fp.mul(tangent_numerator(fp, t.0), *den_inv);
+                *t = push_line(fp, &mut out[*k].lines, lambda, *t, t.0);
             }
-            if !order.bit(i) {
+            if i == 0 || !order.bit(i) {
                 continue;
             }
-            // chord through T and P: λ = (y_T − y_P)/(x_T − x_P); T = −P
-            // ends the walk
+            // chord through T and P: λ = (y_T − y_P)/(x_T − x_P)
             dens.clear();
-            for (k, t) in &mut walk {
-                if let Some((tx, _)) = *t {
-                    let p = &points[*k];
-                    if tx == p.x {
-                        *t = None;
-                        out[*k].last_step().1 = Some(Step::Skip);
-                    } else {
-                        dens.push(fp.sub(tx, p.x));
-                    }
-                }
-            }
-            batch_invert(fp, &mut dens).expect("distinct x");
-            let mut inv = dens.iter();
-            for (k, t) in &mut walk {
-                let Some((tx, ty)) = *t else { continue };
+            dens.extend(walk.iter().map(|(k, (tx, _))| fp.sub(*tx, points[*k].x)));
+            batch_invert(fp, &mut dens)?;
+            for ((k, t), den_inv) in walk.iter_mut().zip(&dens) {
                 let p = &points[*k];
-                let den_inv = *inv.next().expect("one denominator per live walk");
-                let lambda = fp.mul(fp.sub(ty, p.y), den_inv);
-                let (step, next) = line_step(fp, lambda, (tx, ty), p.x);
-                *t = Some(next);
-                out[*k].last_step().1 = Some(step);
+                let lambda = fp.mul(fp.sub(t.1, p.y), *den_inv);
+                *t = push_line(fp, &mut out[*k].lines, lambda, *t, p.x);
             }
         }
-        out
-    }
-
-    fn last_step(&mut self) -> &mut (Step, Option<Step>) {
-        self.steps.last_mut().expect("a step was pushed")
+        walk.iter()
+            .all(|(k, t)| ends_at_minus_p(fp, *t, &points[*k]))
+            .then_some(out)
     }
 
     /// True iff the prepared point is the identity.
     pub fn is_infinity(&self) -> bool {
-        self.infinity
+        self.lines.is_empty()
     }
 
-    fn eval_step(fp: &FpCtx, step: &Step, q: &G1Affine, f: Fp2) -> Fp2 {
-        match step {
-            Step::Skip => f,
-            Step::Line { a, b } => {
-                let c0 = fp.add(*a, fp.mul(*b, q.x));
-                fp.fp2_mul(f, Fp2::new(c0, q.y))
-            }
-        }
+    /// Bytes the stored lines hold on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.lines.capacity() * std::mem::size_of::<u64>()
     }
 }
 
-/// The line of slope `λ` through `T = (x_T, y_T)`, stored as in
-/// [`PreparedG1::new`] (`a = λ·x_T − y_T`, `b = λ`), and the third
-/// intersection's reflection `T' = (λ² − x_T − x_other, λ(x_T − x_T') − y_T)`:
-/// the doubling of `T` when `x_other = x_T`, else `T + P` for
-/// `x_other = x_P`.
-fn line_step(fp: &FpCtx, lambda: Fp, (tx, ty): (Fp, Fp), x_other: Fp) -> (Step, (Fp, Fp)) {
+/// Lines the walk of a point of order `q` stores: one per doubling, and
+/// one per set bit of `q` strictly between the top bit and bit 0.
+fn line_count() -> usize {
+    let order = Fr::modulus();
+    let top = order.bits() - 1;
+    top + (1..top).filter(|&i| order.bit(i)).count()
+}
+
+/// `3x² + 1`, the tangent slope's numerator on `y² = x³ + x`.
+fn tangent_numerator(fp: &FpCtx, x: Fp) -> Fp {
+    let xx = fp.sqr(x);
+    fp.add(fp.add(fp.dbl(xx), xx), fp.one())
+}
+
+/// Appends the line of slope `λ` through `T = (x_T, y_T)` to `lines`
+/// (`a = λ·x_T − y_T`, then `b = λ`, each at the width of `p`), and
+/// returns the third intersection's reflection
+/// `T' = (λ² − x_T − x_other, λ(x_T − x_T') − y_T)`: the doubling of `T`
+/// when `x_other = x_T`, else `T + P` for `x_other = x_P`.
+fn push_line(
+    fp: &FpCtx,
+    lines: &mut Vec<u64>,
+    lambda: Fp,
+    (tx, ty): (Fp, Fp),
+    x_other: Fp,
+) -> (Fp, Fp) {
     let a = fp.sub(fp.mul(lambda, tx), ty);
+    lines.extend_from_slice(fp.limbs(&a));
+    lines.extend_from_slice(fp.limbs(&lambda));
     let x3 = fp.sub(fp.sqr(lambda), fp.add(tx, x_other));
     let y3 = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
-    (Step::Line { a, b: lambda }, (x3, y3))
+    (x3, y3)
 }
 
-/// Pairing with a prepared first argument (unreduced).
+/// The subgroup check at the walk's end: `T = [q − 1]P` is `−P`.
+fn ends_at_minus_p(fp: &FpCtx, (tx, ty): (Fp, Fp), p: &G1Affine) -> bool {
+    tx == p.x && ty == fp.neg(p.y)
+}
+
+/// An `F_{p²}` element `c0 + c1·i` as Montgomery residues at width `W`.
+type Fp2Limbs<const W: usize> = ([u64; W], [u64; W]);
+
+/// The Miller accumulator of every group of prepared pairs (identity on
+/// either side contributes 1), before the final exponentiation: the one
+/// kernel behind every prepared pairing, run at the width of `p`.
+fn miller_lockstep(params: &CurveParams, groups: &[&[(&PreparedG1, G1Affine)]]) -> Vec<Fp2> {
+    let fp = params.fp();
+    if let Some(k) = fp.kernel::<NARROW>() {
+        miller_lockstep_at(fp, &k, groups)
+    } else if let Some(k) = fp.kernel::<FP_LIMBS>() {
+        miller_lockstep_at(fp, &k, groups)
+    } else {
+        unreachable!("p runs at {NARROW} or {FP_LIMBS} limbs")
+    }
+}
+
+/// [`miller_lockstep`] at width `W`. Every step runs per group: one
+/// `F_{p²}` squaring, then for each pair and each of the step's lines
+/// `c0 = a + b·x_Q` and a Karatsuba product with `(c0, y_Q)`. The groups
+/// share the step loop, so a wave reads each step's lines while they are
+/// hot; document points are narrowed once per call.
+fn miller_lockstep_at<const W: usize>(
+    fp: &FpCtx,
+    k: &MontKernel<W>,
+    groups: &[&[(&PreparedG1, G1Affine)]],
+) -> Vec<Fp2> {
+    let narrow = |a: &Fp| -> [u64; W] { fp.limbs(a).try_into().expect("W is the width of p") };
+    // per group, each live pair's lines (a at 2l, b at 2l + 1) and φ(Q)'s
+    // coordinates
+    type Live<'a, const W: usize> = (&'a [[u64; W]], [u64; W], [u64; W]);
+    let live: Vec<Vec<Live<'_, W>>> = groups
+        .iter()
+        .map(|pairs| {
+            pairs
+                .iter()
+                .filter(|(p, q)| !p.is_infinity() && !q.infinity)
+                .map(|(p, q)| (p.lines.as_chunks::<W>().0, narrow(&q.x), narrow(&q.y)))
+                .collect()
+        })
+        .collect();
+    debug_assert!(live
+        .iter()
+        .flatten()
+        .all(|(lines, _, _)| lines.len() == 2 * line_count()));
+    let one: Fp2Limbs<W> = (narrow(&fp.one()), [0; W]);
+    let mut acc = vec![one; groups.len()];
+    let order = Fr::modulus();
+    let mut first = 0; // the step's first line
+    for i in (0..order.bits() - 1).rev() {
+        let end = first + if i > 0 && order.bit(i) { 2 } else { 1 };
+        for (pairs, f) in live.iter().zip(acc.iter_mut()) {
+            if pairs.is_empty() {
+                continue;
+            }
+            let mut v = fp2_sqr(k, f);
+            for (lines, qx, qy) in pairs {
+                for l in first..end {
+                    let c0 = k.add(&lines[2 * l], &k.mul(&lines[2 * l + 1], qx));
+                    v = fp2_mul(k, &v, &(c0, *qy));
+                }
+            }
+            *f = v;
+        }
+        first = end;
+    }
+    let widen = |a: &[u64; W]| fp.from_limbs(a).expect("the kernel keeps residues below p");
+    acc.iter()
+        .map(|(c0, c1)| Fp2::new(widen(c0), widen(c1)))
+        .collect()
+}
+
+/// `(a0 + a1·i)² = (a0 + a1)(a0 − a1) + 2·a0·a1·i`, as
+/// [`Fp2Ops::fp2_sqr`](apks_math::fp2::Fp2Ops::fp2_sqr) computes it.
+#[inline(always)]
+fn fp2_sqr<const W: usize>(k: &MontKernel<W>, (a0, a1): &Fp2Limbs<W>) -> Fp2Limbs<W> {
+    let c0 = k.mul(&k.add(a0, a1), &k.sub(a0, a1));
+    let t = k.mul(a0, a1);
+    (c0, k.add(&t, &t))
+}
+
+/// Karatsuba `(a0 + a1·i)(b0 + b1·i)`, as
+/// [`Fp2Ops::fp2_mul`](apks_math::fp2::Fp2Ops::fp2_mul) computes it.
+#[inline(always)]
+fn fp2_mul<const W: usize>(
+    k: &MontKernel<W>,
+    (a0, a1): &Fp2Limbs<W>,
+    (b0, b1): &Fp2Limbs<W>,
+) -> Fp2Limbs<W> {
+    let t0 = k.mul(a0, b0);
+    let t1 = k.mul(a1, b1);
+    let s = k.mul(&k.add(a0, a1), &k.add(b0, b1));
+    (k.sub(&t0, &t1), k.sub(&k.sub(&s, &t0), &t1))
+}
+
+/// Pairing with a prepared first argument (unreduced): a wave of one
+/// group of one pair.
 pub fn pairing_prepared_unreduced(
     params: &CurveParams,
     prep: &PreparedG1,
     q: &G1Affine,
 ) -> MillerValue {
-    let fp = params.fp();
-    if prep.infinity || q.infinity {
-        return MillerValue(fp.fp2_one());
-    }
-    let mut f = fp.fp2_one();
-    for (dbl, add) in &prep.steps {
-        f = fp.fp2_sqr(f);
-        f = PreparedG1::eval_step(fp, dbl, q, f);
-        if let Some(add) = add {
-            f = PreparedG1::eval_step(fp, add, q, f);
-        }
-    }
-    MillerValue(f)
+    MillerValue(miller_lockstep(params, &[&[(prep, *q)]])[0])
 }
 
 /// Full pairing with a prepared first argument.
@@ -240,32 +297,12 @@ pub fn pairing_prepared(params: &CurveParams, prep: &PreparedG1, q: &G1Affine) -
 }
 
 /// Product of prepared pairings with shared squarings and one final
-/// exponentiation.
+/// exponentiation: a wave of one group.
 pub fn multi_pairing_prepared(
     params: &CurveParams,
     pairs: &[(&PreparedG1, G1Affine)],
 ) -> crate::Gt {
-    let fp = params.fp();
-    let live: Vec<&(&PreparedG1, G1Affine)> = pairs
-        .iter()
-        .filter(|(p, q)| !p.infinity && !q.infinity)
-        .collect();
-    if live.is_empty() {
-        return crate::Gt(fp.fp2_one());
-    }
-    let nsteps = live[0].0.steps.len();
-    debug_assert!(live.iter().all(|(p, _)| p.steps.len() == nsteps));
-    let mut f = fp.fp2_one();
-    for s in 0..nsteps {
-        f = fp.fp2_sqr(f);
-        for (prep, q) in &live {
-            let (dbl, add) = &prep.steps[s];
-            f = PreparedG1::eval_step(fp, dbl, q, f);
-            if let Some(add) = add {
-                f = PreparedG1::eval_step(fp, add, q, f);
-            }
-        }
-    }
+    let f = miller_lockstep(params, &[pairs])[0];
     crate::Gt(final_exponentiation(params, MillerValue(f)))
 }
 
@@ -283,44 +320,8 @@ pub fn multi_pairing_prepared_many(
     params: &CurveParams,
     groups: &[&[(&PreparedG1, G1Affine)]],
 ) -> Vec<crate::Gt> {
-    let fp = params.fp();
-    // per-group live pairs (identity on either side contributes 1)
-    let live: Vec<Vec<&(&PreparedG1, G1Affine)>> = groups
-        .iter()
-        .map(|pairs| {
-            pairs
-                .iter()
-                .filter(|(p, q)| !p.infinity && !q.infinity)
-                .collect()
-        })
-        .collect();
-    let nsteps = live
-        .iter()
-        .flat_map(|g| g.first())
-        .map(|(p, _)| p.steps.len())
-        .next()
-        .unwrap_or(0);
-    debug_assert!(live
-        .iter()
-        .all(|g| g.iter().all(|(p, _)| p.steps.len() == nsteps)));
-    let mut acc: Vec<Fp2> = vec![fp.fp2_one(); groups.len()];
-    for s in 0..nsteps {
-        for (g, f) in live.iter().zip(acc.iter_mut()) {
-            if g.is_empty() {
-                continue;
-            }
-            let mut v = fp.fp2_sqr(*f);
-            for (prep, q) in g {
-                let (dbl, add) = &prep.steps[s];
-                v = PreparedG1::eval_step(fp, dbl, q, v);
-                if let Some(add) = add {
-                    v = PreparedG1::eval_step(fp, add, q, v);
-                }
-            }
-            *f = v;
-        }
-    }
-    acc.into_iter()
+    miller_lockstep(params, groups)
+        .into_iter()
         .map(|f| crate::Gt(final_exponentiation(params, MillerValue(f))))
         .collect()
 }
@@ -328,10 +329,10 @@ pub fn multi_pairing_prepared_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairing::{multi_pairing, pairing};
+    use crate::pairing::{miller_affine_reference, multi_pairing, pairing};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn prepared_matches_plain() {
@@ -453,6 +454,165 @@ mod tests {
         assert!(multi_pairing_prepared_many(&params, &[]).is_empty());
     }
 
+    /// The order-4 point `(±1, y)`: `x = 1` when 2 is a square mod `p`,
+    /// else `x = p − 1`. It decodes, and doubles to `(0, 0)`.
+    fn order_four_point(params: &CurveParams) -> G1Affine {
+        let fp = params.fp();
+        [fp.one(), fp.neg(fp.one())]
+            .into_iter()
+            .find_map(|x| {
+                let mut bytes = fp.to_bytes(x);
+                bytes.push(2);
+                G1Affine::from_bytes(fp, &bytes)
+            })
+            .expect("x = 1 or x = p − 1 lies on the curve")
+    }
+
+    #[test]
+    fn lines_are_packed_at_the_width_of_p() {
+        assert_eq!(line_count(), 160, "159 doubling lines and the bit-17 line");
+        for (params, width) in [(CurveParams::fast(), 3), (CurveParams::standard(), 8)] {
+            let fp = params.fp();
+            let p = params.mul(&params.generator(), Fr::from_u64(11));
+            let prep = PreparedG1::new(&params, &p);
+            assert_eq!(fp.width(), width);
+            assert_eq!(prep.lines.len(), 2 * width * 160, "{}", params.label());
+            // every stored limb group is a residue below p
+            assert!(prep
+                .lines
+                .chunks(width)
+                .all(|limbs| fp.from_limbs(limbs).is_some()));
+        }
+    }
+
+    #[test]
+    fn unreduced_matches_affine_reference_on_both_curves() {
+        for params in [CurveParams::fast(), CurveParams::standard()] {
+            let fp = params.fp();
+            let mut rng = StdRng::seed_from_u64(104);
+            let g = params.generator();
+            let lhs: Vec<G1Affine> = (0..2)
+                .map(|_| params.mul(&g, Fr::random_nonzero(&mut rng)))
+                .collect();
+            let q = params.mul(&g, Fr::random_nonzero(&mut rng));
+            let many = PreparedG1::new_many(&params, &lhs).expect("order-q points");
+            for (p, prep) in lhs.iter().zip(&many) {
+                let want = miller_affine_reference(fp, p, &q);
+                assert_eq!(pairing_prepared_unreduced(&params, prep, &q).0, want);
+                let per_point = PreparedG1::new(&params, p);
+                assert_eq!(pairing_prepared_unreduced(&params, &per_point, &q).0, want);
+            }
+        }
+    }
+
+    #[test]
+    fn walk_refuses_points_outside_the_group() {
+        let mut rng = StdRng::seed_from_u64(105);
+        for params in [CurveParams::fast(), CurveParams::standard()] {
+            let fp = params.fp();
+            let t4 = order_four_point(&params);
+            let two_t4 = t4.to_projective(fp).double(fp).to_affine(fp);
+            assert!(
+                fp.is_zero(two_t4.x) && fp.is_zero(two_t4.y),
+                "2·T₄ = (0, 0)"
+            );
+            let p = params.mul(&params.generator(), Fr::random_nonzero(&mut rng));
+            let order_4q = p.to_projective(fp).add_mixed(fp, &t4).to_affine(fp);
+            let id = G1Affine::identity();
+            let label = params.label();
+            assert!(PreparedG1::new_many(&params, &[t4]).is_none(), "{label}");
+            assert!(
+                PreparedG1::new_many(&params, &[p, id, t4]).is_none(),
+                "{label}"
+            );
+            assert!(
+                PreparedG1::new_many(&params, &[order_4q, p]).is_none(),
+                "{label}"
+            );
+            let ok = PreparedG1::new_many(&params, &[p, id]).expect("O and an order-q point");
+            assert_eq!(
+                ok,
+                [PreparedG1::new(&params, &p), PreparedG1::new(&params, &id)]
+            );
+            assert_eq!(PreparedG1::new_many(&params, &[]), Some(Vec::new()));
+        }
+    }
+
+    /// On fast-192, 13 divides both `p + 1` and `q − 2`, so a point `T`
+    /// of order 13 has `[q − 1]T = T`: its walk meets no vertical and no
+    /// `y = 0`, and ends at `T` rather than `−T`.
+    #[test]
+    fn walk_refuses_an_order_13_point_that_ends_at_itself() {
+        let params = CurveParams::fast();
+        let fp = params.fp();
+        let (h13, rem) = params.cofactor().div_rem(&apks_math::UintP::from_u64(13));
+        assert!(rem.is_zero() && h13.0[1..].iter().all(|&l| l == 0));
+        let minus_one = Fr::ZERO - Fr::one();
+        // [h/13]·[q]R has order 13 unless it is O
+        let t13 = (2u64..)
+            .filter_map(|v| {
+                let mut bytes = fp.to_bytes(fp.from_u64(v));
+                bytes.push(2);
+                G1Affine::from_bytes(fp, &bytes)
+            })
+            .map(|r| {
+                let r = r.to_projective(fp);
+                let qr = r.mul_scalar(fp, minus_one).add(fp, &r);
+                qr.mul_scalar(fp, Fr::from_u64(h13.0[0])).to_affine(fp)
+            })
+            .find(|t| !t.infinity)
+            .expect("E(F_p) has points of order 13");
+        let t = t13.to_projective(fp);
+        assert_eq!(
+            t.mul_scalar(fp, minus_one).to_affine(fp),
+            t13,
+            "[q − 1]T = T"
+        );
+        assert_eq!(G1Affine::from_bytes(fp, &t13.to_bytes(fp)), Some(t13));
+        assert!(PreparedG1::new_many(&params, &[t13]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "y ≠ 0")]
+    fn per_point_prepare_panics_on_an_order_four_point() {
+        let params = CurveParams::fast();
+        PreparedG1::new(&params, &order_four_point(&params));
+    }
+
+    #[test]
+    #[should_panic(expected = "[q − 1]P = −P")]
+    fn per_point_prepare_panics_on_an_order_4q_point() {
+        let params = CurveParams::fast();
+        let fp = params.fp();
+        let p = params.generator().to_projective(fp);
+        PreparedG1::new(
+            &params,
+            &p.add_mixed(fp, &order_four_point(&params)).to_affine(fp),
+        );
+    }
+
+    /// Groups of `(P, Q)` from `seed`, of the given sizes: each side is
+    /// the identity with probability 1/5.
+    fn random_groups(
+        params: &CurveParams,
+        seed: u64,
+        sizes: &[usize],
+    ) -> Vec<Vec<(G1Affine, G1Affine)>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = params.generator();
+        let point = |rng: &mut StdRng| {
+            if rng.gen_range(0..5) == 0 {
+                G1Affine::identity()
+            } else {
+                params.mul(&g, Fr::random_nonzero(rng))
+            }
+        };
+        sizes
+            .iter()
+            .map(|&n| (0..n).map(|_| (point(&mut rng), point(&mut rng))).collect())
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         // Scalars come straight from the generator, so `a == 0` / `b == 0`
@@ -468,6 +628,40 @@ mod tests {
                 pairing_prepared(&params, &prep, &q),
                 pairing(&params, &p, &q)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        // Groups of 0–4 pairs plus one empty group, on both curves: each
+        // group's lockstep result is the product of unprepared pairings.
+        #[test]
+        fn prop_many_matches_product_of_pairings(
+            seed in any::<u64>(),
+            sizes in proptest::collection::vec(0usize..5, 1..4),
+        ) {
+            for params in [CurveParams::fast(), CurveParams::standard()] {
+                let mut sizes = sizes.clone();
+                sizes.push(0);
+                let groups = random_groups(&params, seed, &sizes);
+                let lhs: Vec<G1Affine> = groups.iter().flatten().map(|(p, _)| *p).collect();
+                let preps = PreparedG1::new_many(&params, &lhs).expect("O or order q");
+                let mut preps = preps.iter();
+                let pairs: Vec<Vec<(&PreparedG1, G1Affine)>> = groups
+                    .iter()
+                    .map(|g| g.iter().map(|(_, q)| (preps.next().unwrap(), *q)).collect())
+                    .collect();
+                let refs: Vec<&[(&PreparedG1, G1Affine)]> =
+                    pairs.iter().map(|g| g.as_slice()).collect();
+                let many = multi_pairing_prepared_many(&params, &refs);
+                prop_assert_eq!(many.len(), groups.len());
+                for (out, group) in many.iter().zip(&groups) {
+                    let product = group.iter().fold(crate::Gt::identity(&params), |acc, (p, q)| {
+                        acc.mul(&params, &pairing(&params, p, q))
+                    });
+                    prop_assert_eq!(*out, product);
+                }
+            }
         }
     }
 }

@@ -29,12 +29,15 @@ impl PreparedDpvsVector {
     /// Precomputes Miller line coefficients for every coordinate of `v`
     /// ([`PreparedG1::new_many`]: the same lines as a per-coordinate
     /// [`PreparedG1::new`]).
-    pub fn prepare(params: &CurveParams, v: &DpvsVector) -> Self {
+    ///
+    /// `None` if a coordinate is neither the identity nor of order `q`:
+    /// the walk that computes the lines is the subgroup check.
+    pub fn prepare(params: &CurveParams, v: &DpvsVector) -> Option<Self> {
         // preparation spends the Miller loops up front (no pairings yet)
         apks_telemetry::source::record_miller_loops(v.dim() as u64);
-        PreparedDpvsVector {
-            coords: PreparedG1::new_many(params, &v.0),
-        }
+        Some(PreparedDpvsVector {
+            coords: PreparedG1::new_many(params, &v.0)?,
+        })
     }
 
     /// Dimension.
@@ -47,7 +50,8 @@ impl PreparedDpvsVector {
     /// exponentiation).
     ///
     /// Equals [`DpvsVector::pair`] of the unprepared vector with `rhs`
-    /// — and, by symmetry of the pairing, `rhs.pair(self)` too.
+    /// — and, by symmetry of the pairing, `rhs.pair(self)` too: every
+    /// prepared coordinate has order `q` or is the identity.
     ///
     /// # Panics
     ///
@@ -124,7 +128,7 @@ mod tests {
         for n in [1, 3, 6] {
             let x = random_vector(&params, n, &mut rng);
             let y = random_vector(&params, n, &mut rng);
-            let prep = PreparedDpvsVector::prepare(&params, &y);
+            let prep = PreparedDpvsVector::prepare(&params, &y).unwrap();
             assert_eq!(prep.dim(), n);
             // symmetric pairing: prepared-y against x == x against y
             assert_eq!(prep.pair(&params, &x), x.pair(&params, &y));
@@ -138,11 +142,11 @@ mod tests {
         let mut y = random_vector(&params, 4, &mut rng);
         y.0[2] = apks_curve::G1Affine::identity();
         let x = random_vector(&params, 4, &mut rng);
-        let prep = PreparedDpvsVector::prepare(&params, &y);
+        let prep = PreparedDpvsVector::prepare(&params, &y).unwrap();
         assert_eq!(prep.pair(&params, &x), x.pair(&params, &y));
         // all-identity vector pairs to the identity of G_T
         let zero = DpvsVector::zero(4);
-        let prep_zero = PreparedDpvsVector::prepare(&params, &zero);
+        let prep_zero = PreparedDpvsVector::prepare(&params, &zero).unwrap();
         assert!(prep_zero.pair(&params, &x).is_identity(&params));
     }
 
@@ -159,7 +163,7 @@ mod tests {
                     let per_point: Vec<PreparedG1> =
                         v.0.iter().map(|p| PreparedG1::new(&params, p)).collect();
                     assert_eq!(
-                        PreparedDpvsVector::prepare(&params, v).coords,
+                        PreparedDpvsVector::prepare(&params, v).unwrap().coords,
                         per_point,
                         "{} n0={n}",
                         params.label()
@@ -179,7 +183,7 @@ mod tests {
             .collect();
         let preps: Vec<PreparedDpvsVector> = keys
             .iter()
-            .map(|y| PreparedDpvsVector::prepare(&params, y))
+            .map(|y| PreparedDpvsVector::prepare(&params, y).unwrap())
             .collect();
         let refs: Vec<&PreparedDpvsVector> = preps.iter().collect();
         let many = PreparedDpvsVector::pair_many(&params, &refs, &x);
@@ -195,7 +199,7 @@ mod tests {
     fn pair_many_dimension_mismatch_panics() {
         let params = CurveParams::fast();
         let mut rng = StdRng::seed_from_u64(44);
-        let y = PreparedDpvsVector::prepare(&params, &random_vector(&params, 3, &mut rng));
+        let y = PreparedDpvsVector::prepare(&params, &random_vector(&params, 3, &mut rng)).unwrap();
         let x = random_vector(&params, 4, &mut rng);
         PreparedDpvsVector::pair_many(&params, &[&y], &x);
     }
@@ -207,7 +211,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let y = random_vector(&params, 3, &mut rng);
         let x = random_vector(&params, 4, &mut rng);
-        PreparedDpvsVector::prepare(&params, &y).pair(&params, &x);
+        PreparedDpvsVector::prepare(&params, &y)
+            .unwrap()
+            .pair(&params, &x);
     }
 
     proptest! {
@@ -218,7 +224,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let x = random_vector(&params, n, &mut rng);
             let y = random_vector(&params, n, &mut rng);
-            let prep = PreparedDpvsVector::prepare(&params, &y);
+            let prep = PreparedDpvsVector::prepare(&params, &y).unwrap();
             prop_assert_eq!(prep.pair(&params, &x), x.pair(&params, &y));
         }
     }

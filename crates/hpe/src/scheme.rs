@@ -37,6 +37,9 @@ pub enum HpeError {
     KeyNotDelegatable,
     /// A predicate vector was identically zero.
     ZeroPredicate,
+    /// A key point is neither the identity nor of order `q`, so it
+    /// cannot be prepared.
+    KeyOutsideGroup,
 }
 
 impl fmt::Display for HpeError {
@@ -52,6 +55,9 @@ impl fmt::Display for HpeError {
                 write!(f, "key was finalized and cannot be delegated")
             }
             HpeError::ZeroPredicate => write!(f, "predicate vector must be non-zero"),
+            HpeError::KeyOutsideGroup => {
+                write!(f, "key point is outside the order-q group")
+            }
         }
     }
 }
@@ -407,11 +413,18 @@ impl Hpe {
     /// total); every subsequent [`Hpe::test_prepared`] on the result
     /// then runs in the paper's "with preprocessing" mode (§VII-B.4) —
     /// the corpus-scan amortization.
-    pub fn prepare_key(&self, key: &HpeSecretKey) -> PreparedHpeKey {
-        PreparedHpeKey {
+    ///
+    /// # Errors
+    ///
+    /// [`HpeError::KeyOutsideGroup`] if a coordinate of `k*_dec` is
+    /// neither the identity nor of order `q` (a decodable small-order
+    /// point, for one).
+    pub fn prepare_key(&self, key: &HpeSecretKey) -> Result<PreparedHpeKey, HpeError> {
+        Ok(PreparedHpeKey {
             level: key.level,
-            dec: PreparedDpvsVector::prepare(&self.params, &key.dec),
-        }
+            dec: PreparedDpvsVector::prepare(&self.params, &key.dec)
+                .ok_or(HpeError::KeyOutsideGroup)?,
+        })
     }
 
     /// [`Hpe::decrypt`] with a prepared key: `c₂ / e(c₁, k*_dec)`, the
@@ -661,7 +674,7 @@ mod tests {
         let (hpe, pk, msk, mut rng) = setup(3, 212);
         let (x, v) = orthogonal_pair(&mut rng);
         let key = hpe.gen_key(&pk, &msk, &v, &mut rng).unwrap();
-        let prep = hpe.prepare_key(&key);
+        let prep = hpe.prepare_key(&key).unwrap();
         assert_eq!(prep.dim(), hpe.n0());
         assert_eq!(prep.level, key.level);
 
@@ -672,7 +685,9 @@ mod tests {
             hpe.decrypt_prepared(&pk, &prep, &ct).unwrap(),
             hpe.decrypt(&pk, &key, &ct).unwrap()
         );
-        assert!(hpe.test_prepared(&pk, &hpe.prepare_key(&key), &ct).is_ok());
+        assert!(hpe
+            .test_prepared(&pk, &hpe.prepare_key(&key).unwrap(), &ct)
+            .is_ok());
 
         // non-matching ciphertext: both reject
         let x_bad = vec![
@@ -694,7 +709,7 @@ mod tests {
         let (pk5, msk5) = other.setup(&mut rng2);
         let v5 = vec![Fr::one(), Fr::one(), Fr::one(), Fr::one(), Fr::one()];
         let key5 = other.gen_key(&pk5, &msk5, &v5, &mut rng2).unwrap();
-        let prep5 = other.prepare_key(&key5);
+        let prep5 = other.prepare_key(&key5).unwrap();
         assert!(matches!(
             hpe.test_prepared(&pk, &prep5, &ct_hit),
             Err(HpeError::DimensionMismatch { .. })
@@ -710,9 +725,9 @@ mod tests {
         let miss_key = hpe.gen_key(&pk, &msk, &v_miss, &mut rng).unwrap();
         let ct = hpe.encrypt_marker(&pk, &x, &mut rng).unwrap();
         let preps = [
-            hpe.prepare_key(&hit_key),
-            hpe.prepare_key(&miss_key),
-            hpe.prepare_key(&hit_key),
+            hpe.prepare_key(&hit_key).unwrap(),
+            hpe.prepare_key(&miss_key).unwrap(),
+            hpe.prepare_key(&hit_key).unwrap(),
         ];
         let refs: Vec<&PreparedHpeKey> = preps.iter().collect();
         let wave = hpe.test_prepared_wave(&pk, &refs, &ct).unwrap();
@@ -729,7 +744,9 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(215);
         let (pk5, msk5) = other.setup(&mut rng2);
         let v5 = vec![Fr::one(); 5];
-        let prep5 = other.prepare_key(&other.gen_key(&pk5, &msk5, &v5, &mut rng2).unwrap());
+        let prep5 = other
+            .prepare_key(&other.gen_key(&pk5, &msk5, &v5, &mut rng2).unwrap())
+            .unwrap();
         assert!(matches!(
             hpe.test_prepared_wave(&pk, &[&preps[0], &prep5], &ct),
             Err(HpeError::DimensionMismatch { .. })

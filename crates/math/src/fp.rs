@@ -6,7 +6,7 @@
 //! Elements are plain `Copy` data in Montgomery form; all operations are
 //! methods on the context, PBC-style.
 
-use crate::mont::MontCtx;
+use crate::mont::{MontCtx, MontKernel};
 use crate::uint::Uint;
 use crate::{UintP, FP_LIMBS};
 use core::fmt;
@@ -173,6 +173,37 @@ impl FpCtx {
     pub fn parity(&self, a: Fp) -> bool {
         self.to_uint(a).is_odd()
     }
+
+    /// Limbs the arithmetic runs at: 3 for a 129–192-bit `p`, else
+    /// [`FP_LIMBS`].
+    pub fn width(&self) -> usize {
+        self.mont.width()
+    }
+
+    /// The arithmetic on bare `W`-limb Montgomery residues when `W` is
+    /// the [width](FpCtx::width) ([`MontCtx::kernel`]); `None` otherwise.
+    /// [`FpCtx::limbs`] and [`FpCtx::from_limbs`] move elements in and out.
+    pub fn kernel<const W: usize>(&self) -> Option<MontKernel<W>> {
+        self.mont.kernel()
+    }
+
+    /// `a`'s Montgomery residue at the [width](FpCtx::width): its low
+    /// limbs, all of them that can be nonzero.
+    pub fn limbs<'a>(&self, a: &'a Fp) -> &'a [u64] {
+        &a.0 .0[..self.width()]
+    }
+
+    /// The element whose Montgomery residue is `limbs` (least significant
+    /// first): the inverse of [`FpCtx::limbs`]. `None` if `limbs` is
+    /// wider than [`FpCtx::width`] or the residue is not below `p`.
+    pub fn from_limbs(&self, limbs: &[u64]) -> Option<Fp> {
+        if limbs.len() > self.width() {
+            return None;
+        }
+        let mut u = UintP::ZERO;
+        u.0[..limbs.len()].copy_from_slice(limbs);
+        (u < self.mont.modulus).then_some(Fp(u))
+    }
 }
 
 impl fmt::Debug for Fp {
@@ -248,6 +279,34 @@ mod tests {
         let a = ctx.random(&mut rng);
         let b = ctx.from_bytes(&ctx.to_bytes(a)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn limbs_round_trip_at_the_width() {
+        let ctx = test_ctx();
+        let mut rng = StdRng::seed_from_u64(47);
+        assert_eq!(ctx.width(), 3);
+        for a in [
+            ctx.zero(),
+            ctx.one(),
+            ctx.neg(ctx.one()),
+            ctx.random(&mut rng),
+        ] {
+            assert_eq!(ctx.limbs(&a).len(), 3);
+            assert_eq!(ctx.from_limbs(ctx.limbs(&a)), Some(a));
+        }
+        // the kernel multiplies the limbs as the context multiplies elements
+        let (a, b) = (ctx.random(&mut rng), ctx.random(&mut rng));
+        let k = ctx.kernel::<3>().expect("fast-192 runs at 3 limbs");
+        assert!(ctx.kernel::<{ crate::FP_LIMBS }>().is_none());
+        let limbs = |x: &Fp| -> [u64; 3] { ctx.limbs(x).try_into().unwrap() };
+        assert_eq!(
+            ctx.from_limbs(&k.mul(&limbs(&a), &limbs(&b))),
+            Some(ctx.mul(a, b))
+        );
+        // p itself and anything wider than the width are not residues
+        assert_eq!(ctx.from_limbs(&ctx.modulus().0[..3]), None);
+        assert_eq!(ctx.from_limbs(&[1, 0, 0, 0]), None);
     }
 
     #[test]

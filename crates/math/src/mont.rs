@@ -18,7 +18,7 @@
 use crate::uint::{adc, mac, sbb, Uint};
 
 /// Limb count of the narrow kernels: moduli of 129–192 bits.
-const NARROW: usize = 3;
+pub const NARROW: usize = 3;
 
 /// Precomputed context for Montgomery arithmetic modulo an odd `m`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,11 +108,12 @@ impl<const N: usize> MontCtx<N> {
     /// evaluation ran ~8% slower than one call per multiplication.
     #[inline(never)]
     pub fn mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        if self.width == NARROW {
-            cios::<NARROW, N>(a, b, &self.modulus, self.neg_inv)
+        let (a, b, m) = (&a.0, &b.0, &self.modulus.0);
+        Uint(if self.width == NARROW {
+            cios::<NARROW, N>(a, b, m, self.neg_inv)
         } else {
-            cios::<N, N>(a, b, &self.modulus, self.neg_inv)
-        }
+            cios::<N, N>(a, b, m, self.neg_inv)
+        })
     }
 
     /// Montgomery squaring (delegates to [`MontCtx::mul`]).
@@ -139,21 +140,23 @@ impl<const N: usize> MontCtx<N> {
     /// (fast-192) slower.
     #[inline(always)]
     pub fn add(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        if self.width == NARROW {
-            add_mod::<NARROW, N>(a, b, &self.modulus)
+        let (a, b, m) = (&a.0, &b.0, &self.modulus.0);
+        Uint(if self.width == NARROW {
+            add_mod::<NARROW, N>(a, b, m)
         } else {
-            add_mod::<N, N>(a, b, &self.modulus)
-        }
+            add_mod::<N, N>(a, b, m)
+        })
     }
 
     /// Modular subtraction of two residues.
     #[inline(always)]
     pub fn sub(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        if self.width == NARROW {
-            sub_mod::<NARROW, N>(a, b, &self.modulus)
+        let (a, b, m) = (&a.0, &b.0, &self.modulus.0);
+        Uint(if self.width == NARROW {
+            sub_mod::<NARROW, N>(a, b, m)
         } else {
-            sub_mod::<N, N>(a, b, &self.modulus)
-        }
+            sub_mod::<N, N>(a, b, m)
+        })
     }
 
     /// Modular negation.
@@ -226,6 +229,70 @@ impl<const N: usize> MontCtx<N> {
         }
         Some(self.pow(a, &self.m_minus_2))
     }
+
+    /// Limbs the arithmetic runs at: 3 for a 129–192-bit modulus, else `N`.
+    /// A residue's limbs from this width up are zero.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// This context's arithmetic on bare `W`-limb residues, when `W` is
+    /// its [width](MontCtx::width); `None` otherwise. A residue is the
+    /// low `W` limbs of its `Uint<N>` form, since the rest are zero.
+    pub fn kernel<const W: usize>(&self) -> Option<MontKernel<W>> {
+        if W != self.width {
+            return None;
+        }
+        let mut modulus = [0u64; W];
+        modulus.copy_from_slice(&self.modulus.0[..W]);
+        Some(MontKernel {
+            modulus,
+            neg_inv: self.neg_inv,
+        })
+    }
+}
+
+/// A [`MontCtx`]'s multiplication, addition and subtraction on bare
+/// `W`-limb Montgomery residues (`R = 2^{64W}`), for loops that keep their
+/// values in locals at the modulus's width instead of in `Uint<N>`
+/// storage. Built by [`MontCtx::kernel`]; the results equal the context's
+/// own, limb for limb.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MontKernel<const W: usize> {
+    modulus: [u64; W],
+    neg_inv: u64,
+}
+
+impl<const W: usize> MontKernel<W> {
+    /// Montgomery multiplication `a·b·R^{-1} mod m` of residues `< m`.
+    ///
+    /// Inlined into the caller at 3 limbs; called out of line above, as
+    /// [`MontCtx::mul`] is.
+    #[inline(always)]
+    pub fn mul(&self, a: &[u64; W], b: &[u64; W]) -> [u64; W] {
+        if W <= NARROW {
+            cios::<W, W>(a, b, &self.modulus, self.neg_inv)
+        } else {
+            self.mul_out_of_line(a, b)
+        }
+    }
+
+    #[inline(never)]
+    fn mul_out_of_line(&self, a: &[u64; W], b: &[u64; W]) -> [u64; W] {
+        cios::<W, W>(a, b, &self.modulus, self.neg_inv)
+    }
+
+    /// Modular addition of residues `< m`.
+    #[inline(always)]
+    pub fn add(&self, a: &[u64; W], b: &[u64; W]) -> [u64; W] {
+        add_mod::<W, W>(a, b, &self.modulus)
+    }
+
+    /// Modular subtraction of residues `< m`.
+    #[inline(always)]
+    pub fn sub(&self, a: &[u64; W], b: &[u64; W]) -> [u64; W] {
+        sub_mod::<W, W>(a, b, &self.modulus)
+    }
 }
 
 /// CIOS Montgomery multiplication on the low `W` limbs:
@@ -236,12 +303,11 @@ impl<const N: usize> MontCtx<N> {
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // limb indexing is the idiom here
 fn cios<const W: usize, const N: usize>(
-    a: &Uint<N>,
-    b: &Uint<N>,
-    m: &Uint<N>,
+    a: &[u64; N],
+    b: &[u64; N],
+    m: &[u64; N],
     neg_inv: u64,
-) -> Uint<N> {
-    let (a, b, m) = (&a.0, &b.0, &m.0);
+) -> [u64; N] {
     let mut t = [0u64; N];
     let mut t_n = 0u64;
 
@@ -273,28 +339,28 @@ fn cios<const W: usize, const N: usize>(
     if t_n != 0 || geq_limbs::<W, N>(&t, m) {
         t = sbb_limbs::<W, N>(&t, m).0;
     }
-    Uint(t)
+    t
 }
 
 /// `(a + b) mod m` for residues `a, b < m` on the low `W` limbs.
 #[inline(always)]
-fn add_mod<const W: usize, const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
-    let (s, carry) = adc_limbs::<W, N>(&a.0, &b.0);
-    if carry || geq_limbs::<W, N>(&s, &m.0) {
-        Uint(sbb_limbs::<W, N>(&s, &m.0).0)
+fn add_mod<const W: usize, const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N]) -> [u64; N] {
+    let (s, carry) = adc_limbs::<W, N>(a, b);
+    if carry || geq_limbs::<W, N>(&s, m) {
+        sbb_limbs::<W, N>(&s, m).0
     } else {
-        Uint(s)
+        s
     }
 }
 
 /// `(a − b) mod m` for residues `a, b < m` on the low `W` limbs.
 #[inline(always)]
-fn sub_mod<const W: usize, const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
-    let (d, borrow) = sbb_limbs::<W, N>(&a.0, &b.0);
+fn sub_mod<const W: usize, const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N]) -> [u64; N] {
+    let (d, borrow) = sbb_limbs::<W, N>(a, b);
     if borrow {
-        Uint(adc_limbs::<W, N>(&d, &m.0).0)
+        adc_limbs::<W, N>(&d, m).0
     } else {
-        Uint(d)
+        d
     }
 }
 
@@ -483,6 +549,8 @@ mod tests {
         let reference = MontCtx::at_width(*m, N);
         for c in [ctx, &reference] {
             let (am, bm) = (c.to_mont(&a), c.to_mont(&b));
+            check_kernel::<NARROW, N>(c, &am, &bm);
+            check_kernel::<N, N>(c, &am, &bm);
             assert_eq!(c.from_mont(&am), a, "round trip, width {}", c.width);
             let got = [
                 c.mul(&am, &bm),
@@ -499,6 +567,23 @@ mod tests {
                 assert_eq!(c.from_mont(got), want, "{op}, width {}", c.width);
             }
         }
+    }
+
+    /// The context's [`MontKernel`] at width `W`, if it runs there, must
+    /// give `mul`, `add` and `sub` equal to the context's own on the
+    /// Montgomery residues `am` and `bm`.
+    fn check_kernel<const W: usize, const N: usize>(c: &MontCtx<N>, am: &Uint<N>, bm: &Uint<N>) {
+        let Some(k) = c.kernel::<W>() else {
+            return;
+        };
+        let low = |u: Uint<N>| -> [u64; W] {
+            assert!(u.0[W..].iter().all(|&l| l == 0), "limbs above the width");
+            u.0[..W].try_into().expect("W ≤ N")
+        };
+        let (x, y) = (low(*am), low(*bm));
+        assert_eq!(k.mul(&x, &y), low(c.mul(am, bm)), "kernel mul, width {W}");
+        assert_eq!(k.add(&x, &y), low(c.add(am, bm)), "kernel add, width {W}");
+        assert_eq!(k.sub(&x, &y), low(c.sub(am, bm)), "kernel sub, width {W}");
     }
 
     /// `0`, `1`, `m − 1` and `R mod m` at both the context's width and
@@ -519,6 +604,10 @@ mod tests {
         let (fast, standard, q) = curve_moduli();
         let (fast, standard, q) = (MontCtx::new(fast), MontCtx::new(standard), MontCtx::new(q));
         assert_eq!((fast.width, standard.width, q.width), (3, 8, 3));
+        // a kernel exists at exactly the context's width
+        assert!(fast.kernel::<3>().is_some() && fast.kernel::<8>().is_none());
+        assert!(standard.kernel::<8>().is_some() && standard.kernel::<3>().is_none());
+        assert!(q.kernel::<3>().is_some() && q.kernel::<4>().is_none());
         // R = 2^{64·3} for the narrow contexts
         assert_eq!(
             fast.r,
