@@ -4,7 +4,8 @@
 //! submitted capability carries a valid identity-based signature from a
 //! *registered* authority (§III), and evaluates `Search` over the store
 //! with preprocessed capabilities (§VII-B.4). Every scan entry point runs
-//! one kernel, [`CloudServer::scan_wave`]: a solo search is a wave of one.
+//! one kernel, [`CloudServer::scan_wave`]: a solo search is a wave of one,
+//! and the kernel evaluates a scan's documents on every core.
 //!
 //! The [`adversary`] module implements the honest-but-curious server's
 //! **dictionary attack** (§V) used by the security tests and the

@@ -12,7 +12,7 @@ use apks_math::encode::Writer;
 use apks_math::sha256::sha256;
 use apks_store::StoreConfig;
 use apks_telemetry::source::{self, SourceCounts};
-use apks_telemetry::{Clock, MetricsRegistry, MetricsSnapshot, Span, WallClock};
+use apks_telemetry::{Clock, MetricsRegistry, MetricsSnapshot, WallClock};
 use core::fmt;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -65,7 +65,8 @@ pub struct SearchStats {
     /// point. 0 for a query whose deadline expired before it started.
     pub prepare_micros: u64,
     /// Corpus-scan time in ticks of the same clock (excludes
-    /// preparation).
+    /// preparation): elapsed time, with the documents evaluated on
+    /// every core.
     pub scan_micros: u64,
     /// Pairing evaluations this query paid for: `n + 3` per evaluated
     /// document, none for skipped ones. The `cloud.scan.pairings` and
@@ -238,7 +239,17 @@ pub struct CloudServer {
     prepared: RwLock<Option<Arc<PreparedCache>>>,
     metrics: Arc<MetricsRegistry>,
     clock: Arc<dyn Clock>,
+    /// Threads a scan evaluates its documents on, the calling thread
+    /// included: the host's available parallelism, read once here
+    /// because std re-reads the cgroup quota on every call.
+    workers: usize,
 }
+
+/// Positions a scan walks before it evaluates their documents. It
+/// bounds the decoded indexes one scan holds at once, and it pays for
+/// starting the evaluating threads once per chunk: one evaluation costs
+/// 230–400 µs on the reference host, a thread start tens of µs.
+const CHUNK: usize = 64;
 
 impl CloudServer {
     /// Creates a server for one deployment, timing against the wall
@@ -293,6 +304,7 @@ impl CloudServer {
             prepared: RwLock::new(None),
             metrics,
             clock,
+            workers: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 
@@ -678,7 +690,9 @@ impl CloudServer {
     /// [`Budget`].
     ///
     /// This is the server's one scan kernel: every other entry point
-    /// runs it as a wave of one.
+    /// runs it as a wave of one. It evaluates a scan's documents on
+    /// every core the host gives; results, counters and virtual ticks
+    /// do not depend on how many.
     ///
     /// Overload bounds stay per-request. Each query's [`Deadline`] is
     /// re-checked against the fault context's clock and its `Budget`
@@ -728,6 +742,20 @@ impl CloudServer {
     /// instead of skipping the document, and reads its timings from the
     /// server's own clock; every other scan times on `ctx.clock`, so a
     /// same-seed simulation reproduces every stat byte for byte.
+    ///
+    /// The kernel runs in chunks of up to [`CHUNK`] positions, in three
+    /// steps. The walk, on the calling thread, makes every decision in
+    /// position order: bounds, the service charge, faults and retries,
+    /// hydration, capability dedup and every check that can fail the
+    /// evaluation. The evaluation runs the chunk's documents on
+    /// `workers` threads. The merge folds the verdicts into each
+    /// query's scan in position order. So every result, counter,
+    /// histogram and virtual tick equals that of a scan evaluating each
+    /// position before it walks the next, for any worker count, and a
+    /// strict scan fails at that scan's position, with nothing hydrated
+    /// past it. Under a wall clock, `scan_micros` is the scan's elapsed
+    /// (parallel) time, and each `doc_ticks` value is the walk's ticks
+    /// for the document plus its evaluation's ticks on its worker.
     fn run_wave(
         &self,
         requests: &[WaveRequest<'_>],
@@ -839,20 +867,47 @@ impl CloudServer {
         let doc_hist = self
             .metrics
             .histogram(ledger.pick("cloud.scan.doc_ticks", "cloud.wave.doc_ticks"));
-        let mut survivors: Vec<usize> = Vec::new();
-        let mut wave_caps: Vec<usize> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
+
+        /// One walked position, waiting for its verdicts.
+        struct Walked {
+            id: DocumentId,
+            /// The queries that passed their bounds here, in wave order.
+            survivors: Vec<usize>,
+            /// Each survivor's capability slot in the evaluation.
+            slots: Vec<usize>,
+            /// This position's evaluation in the chunk's jobs; `None` if
+            /// the document was skipped into `faulted`.
+            job: Option<usize>,
+            /// Ticks the walk spent on this position.
+            ticks: u64,
+        }
+        type Job<'p> = (Vec<&'p PreparedCapability>, Arc<EncryptedIndex>);
+        type Evaluated = (usize, Result<Vec<bool>, ApksError>, u64);
+
+        let mut chunk: Vec<Walked> = Vec::with_capacity(CHUNK);
+        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(CHUNK);
+        let mut results: Vec<Evaluated> = Vec::with_capacity(CHUNK);
+        let mut scan_counts = SourceCounts::default();
         let mut docs_touched = 0u64;
         let mut shared_evals = 0u64;
+        let mut pos = 0;
+        let mut walking = true;
         let scan_start = timer.now_ticks();
-        let (scanned, scan_counts) = source::measure(|| {
-            for pos in 0..total {
-                let Some(id) = self.store.doc_id(pos) else {
+        while walking {
+            // The walk: every decision of the scan, on this thread, in
+            // position order. No decision reads a verdict: deadlines
+            // read `ctx.clock`, which evaluation never advances, and
+            // bounds, faults, hydration and the service charge are per
+            // position. So walking a chunk ahead of its verdicts decides
+            // exactly what evaluating each position in turn would.
+            while chunk.len() < CHUNK {
+                let Some(id) = (pos < total).then(|| self.store.doc_id(pos)).flatten() else {
+                    walking = false;
                     break;
                 };
                 // Each live query's bounds, in wave order: deadline
                 // first, then budget.
-                survivors.clear();
+                let mut survivors = Vec::new();
                 for (qi, q) in states.iter_mut().enumerate() {
                     if !q.live {
                         continue;
@@ -869,31 +924,32 @@ impl CloudServer {
                     q.cut_pos = Some(pos);
                 }
                 if survivors.is_empty() {
+                    walking = false;
                     break;
                 }
                 docs_touched += 1;
-                let _doc = Span::start(timer, &doc_hist);
+                let start = timer.now_ticks();
                 // One load + one service charge for the whole wave.
                 ctx.clock.advance(doc_cost_ticks);
                 let (evaluable, retries) = Self::resolve_doc_fault(ctx, id);
                 for &qi in &survivors {
                     states[qi].retries += retries;
                 }
-                let verdicts = 'eval: {
+                let mut slots = Vec::new();
+                let job = 'job: {
                     if !evaluable {
-                        break 'eval None;
+                        break 'job Ok(None);
                     }
                     // One hydration for the whole wave — and only now,
                     // when some survivor will actually evaluate it.
                     let idx = match self.store.hydrate(pos) {
                         Ok(idx) => idx,
-                        Err(e) if strict => return Err(SearchOutcome::Corpus(e)),
-                        Err(_) => break 'eval None,
+                        Err(e) if strict => break 'job Err(SearchOutcome::Corpus(e)),
+                        Err(_) => break 'job Ok(None),
                     };
                     // Distinct capabilities among the survivors:
                     // duplicates ride along on one evaluation.
-                    wave_caps.clear();
-                    slots.clear();
+                    let mut wave_caps = Vec::new();
                     for &qi in &survivors {
                         slots.push(intern(&mut wave_caps, states[qi].cap_idx));
                     }
@@ -906,33 +962,111 @@ impl CloudServer {
                                 .expect("live query's capability prepared")
                         })
                         .collect();
-                    match self.system.search_prepared_wave(&self.pk, &caps, &idx) {
-                        Ok(verdicts) => Some(verdicts),
-                        Err(e) if strict => return Err(SearchOutcome::Apks(e)),
-                        Err(_) => None,
+                    // everything that can fail fails here, in position
+                    // order, so the evaluation below cannot
+                    match self.system.check_prepared_wave(&caps, &idx) {
+                        Ok(()) => {
+                            jobs.push((caps, idx));
+                            Ok(Some(jobs.len() - 1))
+                        }
+                        Err(e) if strict => Err(SearchOutcome::Apks(e)),
+                        Err(_) => Ok(None),
                     }
                 };
+                let ticks = timer.now_ticks().saturating_sub(start);
+                let job = match job {
+                    Ok(job) => job,
+                    Err(e) => {
+                        // every touched position is timed, the
+                        // failing one included
+                        for doc in &chunk {
+                            doc_hist.record(doc.ticks);
+                        }
+                        doc_hist.record(ticks);
+                        return Err(e);
+                    }
+                };
+                chunk.push(Walked {
+                    id,
+                    survivors,
+                    slots,
+                    job,
+                    ticks,
+                });
+                pos += 1;
+            }
+
+            // The evaluation: the chunk's documents on up to `workers`
+            // threads, this one included. Each thread takes the next
+            // document off a shared counter (one vCPU may be slowed by a
+            // neighbour) and counts its own pairing work, since the
+            // source counters are per thread.
+            let next = AtomicUsize::new(0);
+            let evaluate = || {
+                source::measure(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let j = next.fetch_add(1, Ordering::Relaxed);
+                        let Some((caps, idx)) = jobs.get(j) else {
+                            break done;
+                        };
+                        let start = timer.now_ticks();
+                        let verdicts = self.system.search_prepared_wave(&self.pk, caps, idx);
+                        done.push((j, verdicts, timer.now_ticks().saturating_sub(start)));
+                    }
+                })
+            };
+            std::thread::scope(|s| {
+                let spawned: Vec<_> = (1..self.workers.min(jobs.len()))
+                    .map(|_| s.spawn(evaluate))
+                    .collect();
+                let mut gather = |(done, counts): (Vec<Evaluated>, SourceCounts)| {
+                    results.extend(done);
+                    scan_counts += counts;
+                };
+                gather(evaluate());
+                for worker in spawned {
+                    match worker.join() {
+                        Ok(out) => gather(out),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                }
+            });
+            results.sort_unstable_by_key(|r| r.0);
+
+            // The merge, in position order. A document's `doc_ticks` is
+            // its walk ticks plus its evaluation ticks on its worker
+            // (zero under a virtual clock, which evaluation never
+            // advances).
+            for doc in chunk.drain(..) {
+                let (verdicts, eval_ticks) = match doc.job.map(|j| &results[j]) {
+                    Some((_, Ok(verdicts), ticks)) => (Some(verdicts), *ticks),
+                    Some((_, Err(e), _)) if strict => return Err(SearchOutcome::Apks(e.clone())),
+                    Some((_, Err(_), ticks)) => (None, *ticks),
+                    None => (None, 0),
+                };
+                doc_hist.record(doc.ticks + eval_ticks);
                 match verdicts {
                     Some(verdicts) => {
-                        for (&qi, &slot) in survivors.iter().zip(&slots) {
+                        for (&qi, &slot) in doc.survivors.iter().zip(&doc.slots) {
                             states[qi].evals += 1;
                             if verdicts[slot] {
-                                states[qi].matches.push(id);
+                                states[qi].matches.push(doc.id);
                             }
                         }
                     }
                     // skipped by the fault plan, or unloadable, or
                     // unevaluable: degraded for every survivor alike
                     None => {
-                        for &qi in &survivors {
-                            states[qi].faulted.push(id);
+                        for &qi in &doc.survivors {
+                            states[qi].faulted.push(doc.id);
                         }
                     }
                 }
             }
-            Ok(())
-        });
-        scanned?;
+            jobs.clear();
+            results.clear();
+        }
         let scan_micros = timer.now_ticks().saturating_sub(scan_start);
         let out: Vec<DegradedScan> = states
             .into_iter()
@@ -1550,10 +1684,12 @@ mod tests {
         assert!(d.stats.degraded);
     }
 
-    /// A memory backend whose `hydrate` fails at one position.
+    /// A memory backend whose `hydrate` fails at one position, and
+    /// which counts the hydrations asked of it.
     struct HoleyBackend {
         inner: MemoryBackend,
         hole: usize,
+        hydrates: Arc<AtomicUsize>,
     }
 
     impl CorpusBackend for HoleyBackend {
@@ -1573,6 +1709,7 @@ mod tests {
             self.inner.push(id, index)
         }
         fn hydrate(&self, pos: usize) -> Result<Arc<EncryptedIndex>, CorpusError> {
+            self.hydrates.fetch_add(1, Ordering::Relaxed);
             if pos == self.hole {
                 return Err(CorpusError::UnknownPosition(pos));
             }
@@ -1592,6 +1729,7 @@ mod tests {
             Box::new(HoleyBackend {
                 inner: MemoryBackend::new(),
                 hole: 2,
+                hydrates: Arc::default(),
             }),
         );
         server.register_authority("ta");
@@ -1934,5 +2072,238 @@ mod tests {
         assert!(wave[0].matches.iter().all(|id| plain.contains(id)));
         assert_eq!(wave[1].matches, plain, "the patient query finishes");
         assert!(!wave[1].stats.deadline_expired);
+    }
+
+    /// The fixture of the worker-count tests: a corpus longer than one
+    /// chunk, an index from a foreign deployment, and three capabilities
+    /// of the [`deployment`] authority.
+    struct Fixture {
+        ta: TrustedAuthority,
+        corpus: Vec<EncryptedIndex>,
+        foreign: EncryptedIndex,
+        caps: Vec<SignedCapability>,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (_, ta, mut rng) = deployment();
+            let (sys, pk) = (ta.system(), ta.public_key());
+            let corpus = (0..CHUNK + 8)
+                .map(|i| {
+                    let illness = ["flu", "diabetes", "cancer"][i % 3];
+                    let sex = ["female", "male"][i / 3 % 2];
+                    let rec = Record::new(vec![FieldValue::text(illness), FieldValue::text(sex)]);
+                    sys.gen_index(pk, &rec, &mut rng).unwrap()
+                })
+                .collect();
+            let foreign_schema = Schema::builder().flat_field("blood", 1).build().unwrap();
+            let other = ApksSystem::new(CurveParams::fast(), foreign_schema);
+            let (other_pk, _) = other.setup(&mut rng);
+            let rec = Record::new(vec![FieldValue::text("a+")]);
+            let foreign = other.gen_index(&other_pk, &rec, &mut rng).unwrap();
+            let caps = [
+                Query::new().equals("illness", "flu"),
+                Query::new()
+                    .equals("illness", "cancer")
+                    .equals("sex", "male"),
+                Query::new().equals("sex", "female"),
+            ]
+            .iter()
+            .map(|q| {
+                ta.issue_capability(q, &QueryPolicy::default(), &mut rng)
+                    .unwrap()
+            })
+            .collect();
+            Fixture {
+                ta,
+                corpus,
+                foreign,
+                caps,
+            }
+        })
+    }
+
+    impl Fixture {
+        /// A server on `workers` threads over `store`, timing on a
+        /// virtual clock, holding the corpus with the foreign index at
+        /// position `foreign_at`.
+        fn server(
+            &self,
+            store: Box<dyn CorpusBackend>,
+            foreign_at: usize,
+            workers: usize,
+        ) -> CloudServer {
+            let mut server = CloudServer::with_backend(
+                self.ta.system().clone(),
+                self.ta.public_key().clone(),
+                self.ta.ibs_params().clone(),
+                Arc::new(MetricsRegistry::new()),
+                Arc::new(VirtualClock::new()),
+                store,
+            );
+            server.workers = workers;
+            server.register_authority("ta");
+            let mut docs = self.corpus.clone();
+            docs.insert(foreign_at.min(docs.len()), self.foreign.clone());
+            server.upload_many(docs);
+            server
+        }
+    }
+
+    /// A scratch directory, emptied on creation and removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("apks-cloud-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Every entry point gives the same scans, metrics and virtual
+        /// ticks on 1, 2 and 8 workers, under deadlines that cut
+        /// mid-scan, budgets, faults, waves that repeat a capability,
+        /// and every backend: memory, and paged with no cache, an
+        /// evicting cache and an unbounded one.
+        #[test]
+        fn worker_count_changes_nothing(
+            store in 0usize..4,
+            foreign_at in 0usize..CHUNK + 9,
+            fault_seed in any::<u64>(),
+            poisoned in 0u32..100,
+            flaky in 0u32..300,
+            slow in 0u32..300,
+            burst in 1u32..6,
+            doc_cost in 1u64..12,
+            wave in prop::collection::vec((0usize..3, 0u64..1600, 0u64..120), 1..6),
+        ) {
+            let fx = fixture();
+            let n0 = (fx.ta.system().n() + 3) as u64;
+            let plan = FaultPlan::new(FaultConfig {
+                seed: fault_seed,
+                poisoned_doc_permille: poisoned,
+                flaky_doc_permille: flaky,
+                slow_doc_permille: slow,
+                max_fault_burst: burst,
+                ..FaultConfig::default()
+            });
+            let policy = RetryPolicy::default();
+            let bounds = |(_, deadline, docs): (usize, u64, u64)| {
+                let deadline = if deadline < 1200 { Deadline::at(deadline) } else { Deadline::NEVER };
+                let budget = if docs < 100 { Budget::pairings(docs * n0) } else { Budget::unlimited() };
+                (deadline, budget)
+            };
+            let index_bytes = fx.corpus[0].encoded_size();
+            let run = |workers: usize| {
+                let dir = TempDir::new(&format!("workers-{workers}"));
+                let paged = |cache_budget_bytes| -> Box<dyn CorpusBackend> {
+                    Box::new(
+                        PagedBackend::open(
+                            fx.ta.system().clone(),
+                            &dir.0,
+                            StoreConfig::default(),
+                            HydrateConfig { cache_budget_bytes },
+                            Arc::new(MetricsRegistry::new()),
+                            Arc::new(VirtualClock::new()),
+                        )
+                        .unwrap(),
+                    )
+                };
+                let backend = match store {
+                    0 => Box::new(MemoryBackend::new()),
+                    1 => paged(0),
+                    2 => paged(3 * index_bytes),
+                    _ => paged(usize::MAX),
+                };
+                let server = fx.server(backend, foreign_at, workers);
+                let strict = server.search(&fx.caps[wave[0].0]);
+                let (deadline, budget) = bounds(wave[0]);
+                let solo_clock = VirtualClock::new();
+                let solo = server.search_bounded(
+                    &fx.caps[wave[0].0],
+                    &FaultContext::new(&plan, &policy, &solo_clock),
+                    deadline,
+                    &budget,
+                    doc_cost,
+                );
+                let wave_bounds: Vec<(Deadline, Budget)> = wave.iter().map(|&q| bounds(q)).collect();
+                let requests: Vec<(&SignedCapability, Deadline, &Budget)> = wave
+                    .iter()
+                    .zip(&wave_bounds)
+                    .map(|(&(cap, _, _), (deadline, budget))| (&fx.caps[cap], *deadline, budget))
+                    .collect();
+                let wave_clock = VirtualClock::new();
+                let waved = server.search_batched(
+                    &requests,
+                    &FaultContext::new(&plan, &policy, &wave_clock),
+                    doc_cost,
+                );
+                (
+                    strict,
+                    solo,
+                    waved,
+                    server.metrics_snapshot().canonical_bytes(),
+                    [solo_clock.now(), wave_clock.now()],
+                )
+            };
+            let serial = run(1);
+            prop_assert!(serial.0.is_err(), "the foreign index fails a strict scan");
+            for workers in [2, 8] {
+                prop_assert!(run(workers) == serial, "{workers} workers differ from one");
+            }
+        }
+    }
+
+    #[test]
+    fn strict_scan_fails_where_the_serial_scan_fails() {
+        let fx = fixture();
+        let cap = &fx.caps[0];
+        for (foreign_at, hole) in [(5, 40), (40, 5), (10, CHUNK + 2), (CHUNK + 2, 10)] {
+            for workers in [1, 2, 8] {
+                let hydrates = Arc::new(AtomicUsize::new(0));
+                let backend = HoleyBackend {
+                    inner: MemoryBackend::new(),
+                    hole,
+                    hydrates: hydrates.clone(),
+                };
+                let server = fx.server(Box::new(backend), foreign_at, workers);
+                hydrates.store(0, Ordering::Relaxed);
+                let failed = server.search(cap);
+                if foreign_at < hole {
+                    assert!(
+                        matches!(
+                            failed,
+                            Err(SearchOutcome::Apks(ApksError::InvalidRecord(_)))
+                        ),
+                        "{workers} workers: {failed:?}"
+                    );
+                } else {
+                    assert_eq!(
+                        failed,
+                        Err(SearchOutcome::Corpus(CorpusError::UnknownPosition(hole))),
+                        "{workers} workers"
+                    );
+                }
+                assert_eq!(
+                    hydrates.load(Ordering::Relaxed),
+                    foreign_at.min(hole) + 1,
+                    "{workers} workers hydrated past the failing position"
+                );
+            }
+        }
     }
 }

@@ -385,19 +385,47 @@ impl ApksSystem {
     ///
     /// # Errors
     ///
-    /// Fails on deployment mismatch of the index or any capability.
+    /// Fails as [`ApksSystem::check_prepared_wave`] does.
     pub fn search_prepared_wave(
         &self,
         pk: &ApksPublicKey,
         caps: &[&PreparedCapability],
         index: &EncryptedIndex,
     ) -> Result<Vec<bool>, ApksError> {
+        self.check_prepared_wave(caps, index)?;
+        let keys: Vec<&PreparedHpeKey> = caps.iter().map(|c| &c.key).collect();
+        Ok(self.hpe.test_prepared_wave(&pk.hpe, &keys, &index.ct)?)
+    }
+
+    /// Every check [`ApksSystem::search_prepared_wave`] makes before its
+    /// first pairing, in its order and with its errors: each capability
+    /// and the index belong to this deployment, and the index and every
+    /// key have its dimension `n₀` ([`Hpe::test_prepared_wave`] keeps
+    /// the dimension checks as its own guard). Once these pass, the
+    /// evaluation cannot fail, so a scan runs them while it walks the
+    /// corpus and hands other threads only the pairings.
+    ///
+    /// # Errors
+    ///
+    /// Fails on deployment mismatch of any capability or the index, then
+    /// on dimension mismatch of the index or any key.
+    pub fn check_prepared_wave(
+        &self,
+        caps: &[&PreparedCapability],
+        index: &EncryptedIndex,
+    ) -> Result<(), ApksError> {
         for cap in caps {
             self.check_digest(cap.digest)?;
         }
         self.check_digest(index.digest)?;
-        let keys: Vec<&PreparedHpeKey> = caps.iter().map(|c| &c.key).collect();
-        Ok(self.hpe.test_prepared_wave(&pk.hpe, &keys, &index.ct)?)
+        let expected = self.hpe.n0();
+        let dims = std::iter::once(index.ct.c1.dim()).chain(caps.iter().map(|c| c.dim()));
+        for got in dims {
+            if got != expected {
+                return Err(apks_hpe::HpeError::DimensionMismatch { expected, got }.into());
+            }
+        }
+        Ok(())
     }
 
     fn check_digest(&self, digest: [u8; 32]) -> Result<(), ApksError> {
