@@ -1,5 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation (§VII) as
-//! text, side by side with the paper's reported numbers.
+//! text, side by side with the paper's reported numbers, then times the
+//! design choices the reproduction makes against their alternatives.
 //!
 //! ```text
 //! cargo run --release -p apks-bench --bin report                 # fast curve, first 4 n values
@@ -8,30 +9,26 @@
 //!
 //! Sections: Fig. 8(a) setup, Fig. 8(b) encryption, Fig. 8(c) capability
 //! generation/delegation, Fig. 8(d) search, Table III projection, the
-//! §VII size accounting, and the MRQED^D comparison.
+//! §VII size accounting, the MRQED^D comparison, and the ablations.
+//! `APKS_GRID` (default 4) is how many `n` values of the paper's grid to
+//! run; `APKS_FULL_PARAMS` switches to the standard-512 curve. Nothing
+//! else is read from the environment.
 
 use apks_bench::{
     bench_params, fmt_duration, paper, time_mean, time_once, BenchSystem, PAPER_N_GRID,
 };
-use apks_core::Query;
-use apks_curve::{pairing, pairing_prepared, PreparedG1};
+use apks_core::{ApksSystem, FieldValue, Query, Record, Schema};
+use apks_curve::{pairing, pairing_prepared, CurveParams, PreparedG1};
 use apks_dataset::nursery::NURSERY_ROWS;
 use apks_math::Fr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     let params = bench_params();
-    // CI runs just the telemetry section to produce the snapshot
-    // artifact without paying for the full evaluation grid.
-    if std::env::var("APKS_METRICS_ONLY").as_deref() == Ok("1") {
-        metrics_section(&params);
-        overload_section();
-        wave_section();
-        hydrate_section(&params);
-        return;
-    }
     let grid_len: usize = std::env::var("APKS_GRID")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -49,6 +46,7 @@ fn main() {
 
     let mut setup_times = Vec::new();
     let mut encrypt_times = Vec::new();
+    let mut encrypt_flat_times = Vec::new();
     let mut gencap_exponent = Vec::new();
     let mut gencap_worst = Vec::new();
     let mut gencap_sparse = Vec::new();
@@ -68,10 +66,11 @@ fn main() {
         setup_times.push(t_setup);
 
         let mut sys = BenchSystem::new(params.clone(), d, 2000 + n as u64);
-        let t_enc = time_mean(2, || {
+        let t_enc = time_mean(6, || {
             sys.encrypt_one();
         });
         encrypt_times.push(t_enc);
+        encrypt_flat_times.push(encrypt_flat(&params, n));
 
         let qw = sys.worst_case_query();
         let qs = sys.sparse_query(3);
@@ -146,11 +145,13 @@ fn main() {
     println!();
 
     // ---- Fig 8(b) --------------------------------------------------------
+    // the paper varies d at m' = 9 and m' at d = 1, and finds the time
+    // depends only on n
     println!("## Fig. 8(b) — per-index encryption time vs n");
     println!();
-    println!("| n | measured | scaling check (t/n₀²) | paper anchor |");
-    println!("|---|----------|------------------------|--------------|");
-    for (&n, t) in grid.iter().zip(&encrypt_times) {
+    println!("| n | measured (m' = 9, d = (n−1)/9) | measured (m' = n−1, d = 1) | scaling check (t/n₀²) | paper anchor |");
+    println!("|---|--------------------------------|----------------------------|------------------------|--------------|");
+    for ((&n, t), t_flat) in grid.iter().zip(&encrypt_times).zip(&encrypt_flat_times) {
         let n0 = (n + 3) as f64;
         let anchor = if n == 46 {
             format!("{:.0} s", paper::ENCRYPT_AT_46)
@@ -158,8 +159,9 @@ fn main() {
             "—".into()
         };
         println!(
-            "| {n} | {} | {:.2} µs | {anchor} |",
+            "| {n} | {} | {} | {:.2} µs | {anchor} |",
             fmt_duration(*t),
+            fmt_duration(*t_flat),
             t.as_secs_f64() * 1e6 / (n0 * n0)
         );
     }
@@ -349,412 +351,229 @@ fn main() {
     println!();
     println!("shape check: APKS loses setup/encrypt/capability, wins search — matching §VII.");
 
-    resilience_section(&params);
-    metrics_section(&params);
-    overload_section();
-    wave_section();
-    hydrate_section(&params);
+    ablations_section(&params);
 }
 
-/// Fig. 8(d) disk-backed series — per-index search time when the
-/// corpus lives in paged segment files instead of memory. The cold
-/// pass pays page reads + strict decodes into the decoded-index LRU;
-/// the warm pass runs entirely from cache and must stay within 1.2x
-/// of the in-memory scan (decoding is off the repeat path — that is
-/// the lazy-hydration claim). Writes the hydrate metrics snapshot CI
-/// uploads (`APKS_HYDRATE_OUT`, default
-/// `hydrate-metrics-snapshot.json`).
-fn hydrate_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
-    use apks_authz::IbsAuthority;
-    use apks_cloud::{CloudServer, HydrateConfig};
-    use apks_core::fault::VirtualClock;
-    use apks_core::{ApksSystem, FieldValue, QueryPolicy, Record, Schema};
-    use apks_store::StoreConfig;
-    use apks_telemetry::MetricsRegistry;
-    use std::sync::Arc;
+/// Per-index encryption time on `m' = n − 1` flat fields of degree 1
+/// (the paper's second Fig. 8(b) sweep: `d = 1`, `m'` grows).
+fn encrypt_flat(params: &Arc<CurveParams>, n: usize) -> Duration {
+    let mut b = Schema::builder();
+    for f in 0..n - 1 {
+        b = b.flat_field(format!("f{f}"), 1);
+    }
+    let system = ApksSystem::new(params.clone(), b.build().unwrap());
+    assert_eq!(system.n(), n);
+    let mut rng = StdRng::seed_from_u64(2500 + n as u64);
+    let (pk, _) = system.setup(&mut rng);
+    let record = Record::new((0..n - 1).map(|i| FieldValue::num(i as i64)).collect());
+    time_mean(6, || {
+        black_box(system.gen_index(&pk, &record, &mut rng).unwrap());
+    })
+}
 
-    const DOCS: usize = 40;
-    println!();
-    println!("## Fig. 8(d) disk-backed — per-index search over the paged store ({DOCS} documents)");
-    println!();
+/// The design choices DESIGN.md calls out, each timed against the
+/// alternative it replaced, at small fixed sizes (the grid does not
+/// apply): one row per comparison, the last column the alternative's
+/// mean over the choice's.
+fn ablations_section(params: &Arc<CurveParams>) {
+    use apks_core::{Hierarchy, QueryPolicy};
+    use apks_curve::{multi_pairing, G1Affine, Gt};
+    use apks_dpvs::DpvsVector;
 
-    let schema = Schema::builder()
-        .flat_field("illness", 1)
-        .flat_field("sex", 1)
-        .build()
-        .unwrap();
-    let system = ApksSystem::new(params.clone(), schema);
-    let mut rng = StdRng::seed_from_u64(6000);
-    let (pk, msk) = system.setup(&mut rng);
-    let ibs = IbsAuthority::new(params.clone(), &mut rng);
-    let illnesses = ["flu", "diabetes", "cancer", "asthma"];
-    let indexes: Vec<_> = (0..DOCS)
-        .map(|i| {
-            let rec = Record::new(vec![
-                FieldValue::text(illnesses[i % illnesses.len()]),
-                FieldValue::text(if i % 2 == 0 { "female" } else { "male" }),
-            ]);
-            system.gen_index(&pk, &rec, &mut rng).unwrap()
+    println!();
+    println!("## Ablations");
+    println!();
+    println!("| ablation | choice | mean | alternative | mean | alternative ÷ choice |");
+    println!("|----------|--------|------|-------------|------|----------------------|");
+    let row = |ablation: &str, choice: (&str, Duration), alternative: (&str, Duration)| {
+        println!(
+            "| {ablation} | {} | {} | {} | {} | {:.2}× |",
+            choice.0,
+            fmt_duration(choice.1),
+            alternative.0,
+            fmt_duration(alternative.1),
+            alternative.1.as_secs_f64() / choice.1.as_secs_f64().max(1e-12),
+        );
+    };
+    let mut rng = StdRng::seed_from_u64(100);
+    let g = params.generator();
+
+    // shared squarings and one final exponentiation: why Search's n + 3
+    // pairings cost far less than n + 3 single pairings
+    let pairs: Vec<(G1Affine, G1Affine)> = (0..13)
+        .map(|_| {
+            (
+                params.mul(&g, Fr::random(&mut rng)),
+                params.mul(&g, Fr::random(&mut rng)),
+            )
         })
         .collect();
-    let query = Query::parse("illness = \"flu\"").unwrap();
-    let cap = system
-        .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
-        .unwrap();
-
-    let memory = CloudServer::new(system.clone(), pk.clone(), ibs.public_params().clone());
-    for idx in &indexes {
-        memory.upload(idx.clone());
-    }
-    let dir = std::env::temp_dir().join(format!("apks-report-hydrate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let metrics = Arc::new(MetricsRegistry::new());
-    let paged = CloudServer::with_paged_store(
-        system.clone(),
-        pk.clone(),
-        ibs.public_params().clone(),
-        metrics.clone(),
-        Arc::new(VirtualClock::new()),
-        &dir,
-        StoreConfig::default(),
-        HydrateConfig::default(),
-    )
-    .expect("fresh store directory opens");
-    for idx in &indexes {
-        paged.try_upload(idx.clone()).expect("corpus append");
-    }
-
-    // warm up code paths once in memory, then measure
-    let (expect_hits, _) = memory.scan(&cap).unwrap();
-    let t_mem = time_mean(3, || {
-        memory.scan(&cap).unwrap();
+    let t_multi = time_mean(10, || {
+        black_box(multi_pairing(params, &pairs));
     });
-    let (t_cold, (cold_hits, _)) = time_once(|| paged.scan(&cap).unwrap());
-    assert_eq!(cold_hits, expect_hits, "disk-backed scan diverged");
-    let t_warm = time_mean(3, || {
-        paged.scan(&cap).unwrap();
+    let t_sequential = time_mean(10, || {
+        let mut acc = Gt::identity(params);
+        for (p, q) in &pairs {
+            acc = acc.mul(params, &pairing(params, p, q));
+        }
+        black_box(acc);
     });
-    let per_doc = |t: Duration| t.as_secs_f64() * 1e6 / DOCS as f64;
-
-    println!("| corpus | total scan | per-index | vs in-memory |");
-    println!("|--------|------------|-----------|--------------|");
-    for (label, t) in [
-        ("in-memory", t_mem),
-        ("paged, cold cache", t_cold),
-        ("paged, warm cache", t_warm),
-    ] {
-        println!(
-            "| {label} | {} | {:.1} µs | {:.2}x |",
-            fmt_duration(t),
-            per_doc(t),
-            t.as_secs_f64() / t_mem.as_secs_f64().max(1e-9),
-        );
-    }
-    println!();
-    let ratio = t_warm.as_secs_f64() / t_mem.as_secs_f64().max(1e-9);
-    println!(
-        "warm-cache target (per-index <= 1.2x in-memory): {:.2}x — {}",
-        ratio,
-        if ratio <= 1.2 { "met" } else { "MISSED" },
-    );
-    let snap = metrics.snapshot();
-    println!(
-        "hydrate ledger: misses={} hits={} evictions={} (cold pass decodes each index once; warm passes never touch the decoder)",
-        snap.counter("cloud.hydrate.misses").unwrap_or(0),
-        snap.counter("cloud.hydrate.hits").unwrap_or(0),
-        snap.counter("cloud.hydrate.evictions").unwrap_or(0),
+    row(
+        "product of 13 pairings",
+        ("multi-pairing", t_multi),
+        ("13 pairings multiplied", t_sequential),
     );
 
-    let path = std::env::var("APKS_HYDRATE_OUT")
-        .unwrap_or_else(|_| "hydrate-metrics-snapshot.json".into());
-    match std::fs::write(&path, snap.to_json()) {
-        Ok(()) => println!("hydrate metrics JSON written to {path}"),
-        Err(e) => println!("could not write hydrate metrics JSON to {path}: {e}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
+    // the Setup / GenKey workhorse: generator exponentiation
+    let k = Fr::random(&mut rng);
+    let fp = params.fp();
+    let gp = g.to_projective(fp);
+    let t_comb = time_mean(100, || {
+        black_box(params.mul_generator(k));
+    });
+    let t_wnaf = time_mean(100, || {
+        black_box(params.mul(&g, k));
+    });
+    let t_binary = time_mean(100, || {
+        black_box(gp.mul_scalar_binary(fp, k));
+    });
+    let comb = ("fixed-base comb", t_comb);
+    row("generator × scalar", comb, ("wNAF-4", t_wnaf));
+    row("generator × scalar", comb, ("binary ladder", t_binary));
 
-/// Fig. 8(d) batched series — aggregate queries-per-second at wave
-/// depth, batched scan vs the per-query prepared path, on the sim's
-/// virtual clock (one saturating burst, no deadlines or budgets, so
-/// every query completes and the runs answer identically). The batched
-/// engine charges each document's service time once per *wave* instead
-/// of once per query, so throughput scales with depth until the
-/// admission cost floor. Writes the depth-8 batched metrics snapshot CI
-/// uploads (`APKS_BATCH_OUT`, default `batched-metrics-snapshot.json`).
-fn wave_section() {
-    use apks_cloud::WaveConfig;
-    use apks_sim::overload::{run_overload, run_overload_batched, OverloadConfig};
-
-    println!();
-    println!("## Fig. 8(d) batched — aggregate QPS vs wave depth (virtual ticks)");
-    println!();
-    // one burst, everything arrives at tick 0: the unloaded twin with
-    // no arrival-gap floor, so throughput is pure scan economics
-    let base = OverloadConfig::default();
-    let cfg = OverloadConfig {
-        burst_size: base.arrivals,
-        burst_gap_ticks: 0,
-        ..base.unloaded()
+    // the paper's central efficiency claim (§IV-C): the range 0–15 of
+    // 0–63 is one equality on a level-1 simple range of a k = 4
+    // hierarchy, or 16 OR terms on a flat field
+    let hier = ApksSystem::new(
+        params.clone(),
+        Schema::builder()
+            .hierarchical_field("v", Hierarchy::numeric(0, 63, 4), 1)
+            .build()
+            .unwrap(),
+    );
+    let flat = ApksSystem::new(
+        params.clone(),
+        Schema::builder().flat_field("v", 16).build().unwrap(),
+    );
+    let record = Record::new(vec![FieldValue::num(7)]);
+    let query = Query::new().range("v", 0, 15);
+    let mut encrypt_and_search = |system: &ApksSystem| {
+        let (pk, msk) = system.setup(&mut rng);
+        let t_encrypt = time_mean(3, || {
+            black_box(system.gen_index(&pk, &record, &mut rng).unwrap());
+        });
+        let cap = system
+            .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
+            .unwrap();
+        let idx = system.gen_index(&pk, &record, &mut rng).unwrap();
+        let t_search = time_mean(5, || {
+            assert!(system.search(&pk, &cap, &idx).unwrap());
+        });
+        (t_encrypt, t_search)
     };
-    let per_query = run_overload(&cfg).unwrap();
-    let qps = |ticks: u64| cfg.arrivals as f64 * 1000.0 / ticks.max(1) as f64;
-    let baseline_qps = qps(per_query.virtual_ticks);
-
-    println!("| wave depth | waves | virtual ticks | queries/ktick | speed-up | amortized pairings/query |");
-    println!("|------------|-------|---------------|---------------|----------|--------------------------|");
-    println!(
-        "| per-query | — | {} | {:.1} | 1.00x | {} |",
-        per_query.virtual_ticks,
-        baseline_qps,
-        per_query
-            .metrics
-            .counter("cloud.scan.pairings")
-            .unwrap_or(0)
-            / cfg.arrivals as u64,
+    let (hier_encrypt, hier_search) = encrypt_and_search(&hier);
+    let (flat_encrypt, flat_search) = encrypt_and_search(&flat);
+    let hier_label = format!("hierarchy k = 4, d = 1 (n = {})", hier.n());
+    let flat_label = format!("flat d = 16 (n = {})", flat.n());
+    row(
+        "range 0–15 of 0–63: encrypt",
+        (&hier_label, hier_encrypt),
+        (&flat_label, flat_encrypt),
     );
-    let mut at_depth_8 = None;
-    for depth in [1usize, 2, 4, 8, 16] {
-        // window disabled: waves dispatch full (or at the end drain)
-        let wave = WaveConfig::new(depth, u64::MAX);
-        let r = run_overload_batched(&cfg, &wave).unwrap();
-        for (b, p) in r.requests.iter().zip(&per_query.requests) {
-            assert_eq!(
-                b.outcome, p.outcome,
-                "unbounded batched run must answer exactly as per-query"
+    row(
+        "range 0–15 of 0–63: search",
+        (&hier_label, hier_search),
+        (&flat_label, flat_search),
+    );
+
+    // the Setup / GenKey / Delegate inner loop
+    let rows: Vec<DpvsVector> = (0..13)
+        .map(|_| {
+            DpvsVector(
+                (0..13)
+                    .map(|_| params.mul(&g, Fr::random(&mut rng)))
+                    .collect(),
+            )
+        })
+        .collect();
+    let refs: Vec<&DpvsVector> = rows.iter().collect();
+    let coeffs: Vec<Fr> = (0..13).map(|_| Fr::random(&mut rng)).collect();
+    let t_msm = time_mean(3, || {
+        black_box(DpvsVector::linear_combination(params, &refs, &coeffs));
+    });
+    let t_naive = time_mean(3, || {
+        black_box(DpvsVector::linear_combination_naive(params, &refs, &coeffs));
+    });
+    row(
+        "13 × 13 linear combination",
+        ("interleaved MSM", t_msm),
+        ("naive per term", t_naive),
+    );
+
+    // each delegation level adds one re-randomization vector, so
+    // Delegate is O((ℓ + 3)·n₀) point multiplications
+    let mut sys = BenchSystem::new(params.clone(), 1, 104);
+    let base_query = sys.sparse_query(2);
+    let mut cap = sys.cap_for(&base_query);
+    let narrow = Query::new().equals("class", "priority");
+    let mut delegate = Vec::new();
+    for _ in 0..3 {
+        delegate.push(time_mean(2, || {
+            black_box(
+                sys.system
+                    .delegate_cap(&sys.pk, &cap, &narrow, &mut sys.rng)
+                    .unwrap(),
+            );
+        }));
+        cap = sys
+            .system
+            .delegate_cap(&sys.pk, &cap, &narrow, &mut sys.rng)
+            .unwrap();
+    }
+    let level_1 = ("from level 1", delegate[0]);
+    row(
+        "delegation depth (n = 10)",
+        level_1,
+        ("from level 2", delegate[1]),
+    );
+    row(
+        "delegation depth (n = 10)",
+        level_1,
+        ("from level 3", delegate[2]),
+    );
+
+    // 8 queries, half of them resubmissions: the wave engine evaluates
+    // each distinct capability once in one lockstep multi-pairing and
+    // fans the verdicts out
+    let mut sys = BenchSystem::new(params.clone(), 1, 81);
+    let idx = sys.encrypt_one();
+    let prepared: Vec<_> = (0..4)
+        .map(|i| {
+            let q = sys.sparse_query(1 + i);
+            let cap = sys.cap_for(&q);
+            sys.system.prepare_capability(&cap).unwrap()
+        })
+        .collect();
+    let distinct: Vec<_> = prepared.iter().collect();
+    let t_wave = time_mean(5, || {
+        black_box(
+            sys.system
+                .search_prepared_wave(&sys.pk, &distinct, &idx)
+                .unwrap(),
+        );
+    });
+    let t_per_query = time_mean(5, || {
+        for i in 0..8 {
+            black_box(
+                sys.system
+                    .search_prepared(&sys.pk, &prepared[i % 4], &idx)
+                    .unwrap(),
             );
         }
-        let speedup = per_query.virtual_ticks as f64 / r.virtual_ticks.max(1) as f64;
-        let amortized = r
-            .metrics
-            .histogram("cloud.wave.amortized_pairings_per_query")
-            .map(|h| h.sum / h.count.max(1))
-            .unwrap_or(0);
-        println!(
-            "| {depth} | {} | {} | {:.1} | {:.2}x | {} |",
-            r.metrics.counter("cloud.wave.scans").unwrap_or(0),
-            r.virtual_ticks,
-            qps(r.virtual_ticks),
-            speedup,
-            amortized,
-        );
-        if depth == 8 {
-            at_depth_8 = Some((speedup, r));
-        }
-    }
-    println!();
-    let (speedup, r) = at_depth_8.expect("depth 8 is in the series");
-    println!(
-        "batch >= 8 target (>= 5x aggregate QPS over per-query prepared): {:.2}x — {}",
-        speedup,
-        if speedup >= 5.0 { "met" } else { "MISSED" },
-    );
-
-    let path =
-        std::env::var("APKS_BATCH_OUT").unwrap_or_else(|_| "batched-metrics-snapshot.json".into());
-    match std::fs::write(&path, r.metrics.to_json()) {
-        Ok(()) => println!("batched metrics JSON written to {path}"),
-        Err(e) => println!("could not write batched metrics JSON to {path}: {e}"),
-    }
-}
-
-/// Overload protection under a saturating Zipf burst: the admission
-/// controller's shed/brown-out ledger, end-of-run breaker states, and
-/// the headline comparison — p99 time-to-shed vs p99 time-to-result on
-/// the shared virtual clock. Writes the overload metrics snapshot CI
-/// uploads (`APKS_OVERLOAD_OUT`, default
-/// `overload-metrics-snapshot.json`).
-fn overload_section() {
-    use apks_sim::overload::{run_overload, OverloadConfig};
-
-    println!();
-    println!("## Overload — saturating burst vs unloaded twin (virtual ticks)");
-    println!();
-    let loaded = run_overload(&OverloadConfig::default()).unwrap();
-    let unloaded = run_overload(&OverloadConfig::default().unloaded()).unwrap();
-
-    println!("| run | admitted | queue-full shed | browned out | displaced | deadline-expired | unscanned docs | p99 time-to-shed | p99 time-to-result |");
-    println!("|-----|----------|-----------------|-------------|-----------|------------------|----------------|------------------|--------------------|");
-    for (label, r) in [("loaded", &loaded), ("unloaded", &unloaded)] {
-        println!(
-            "| {label} | {} / {} | {} | {} (max level {}) | {} | {} | {} | {} | {} |",
-            r.admitted,
-            r.arrivals,
-            r.shed_queue_full,
-            r.shed_brownout,
-            r.max_brownout_level,
-            r.displaced,
-            r.deadline_expired,
-            r.unscanned_docs,
-            r.time_to_shed_p99(),
-            r.scan_latency_p99(),
-        );
-    }
-    println!();
-    let shed_p99 = loaded.time_to_shed_p99().max(1);
-    println!(
-        "shedding is {}x cheaper than scanning at p99 (shed {} ticks vs scan {} ticks)",
-        loaded.scan_latency_p99() / shed_p99,
-        loaded.time_to_shed_p99(),
-        loaded.scan_latency_p99(),
-    );
-    println!("end-of-run breaker states:");
-    for (id, state) in &loaded.breaker_states {
-        println!("  {id}: {state}");
-    }
-
-    let path = std::env::var("APKS_OVERLOAD_OUT")
-        .unwrap_or_else(|_| "overload-metrics-snapshot.json".into());
-    match std::fs::write(&path, loaded.metrics.to_json()) {
-        Ok(()) => println!("overload metrics JSON written to {path}"),
-        Err(e) => println!("could not write overload metrics JSON to {path}: {e}"),
-    }
-}
-
-/// Scan telemetry: runs plain and prepared corpus scans over a seeded
-/// corpus, prints the server's metrics snapshot, cross-checks the
-/// measured pairing counter against the legacy `SearchStats`
-/// accounting, and writes the JSON artifact CI uploads
-/// (`APKS_METRICS_OUT`, default `metrics-snapshot.json`).
-fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
-    use apks_authz::IbsAuthority;
-    use apks_cloud::CloudServer;
-    use apks_core::{ApksSystem, FieldValue, QueryPolicy, Record, Schema};
-
-    const DOCS: usize = 40;
-    println!();
-    println!("## Observability — metrics snapshot ({DOCS} documents)");
-    println!();
-
-    let schema = Schema::builder()
-        .flat_field("illness", 1)
-        .flat_field("sex", 1)
-        .build()
-        .unwrap();
-    let system = ApksSystem::new(params.clone(), schema);
-    let mut rng = StdRng::seed_from_u64(5000);
-    let (pk, msk) = system.setup(&mut rng);
-    let ibs = IbsAuthority::new(params.clone(), &mut rng);
-    let server = CloudServer::new(system.clone(), pk.clone(), ibs.public_params().clone());
-    let illnesses = ["flu", "diabetes", "cancer", "asthma"];
-    for i in 0..DOCS {
-        let rec = Record::new(vec![
-            FieldValue::text(illnesses[i % illnesses.len()]),
-            FieldValue::text(if i % 2 == 0 { "female" } else { "male" }),
-        ]);
-        server.upload(system.gen_index(&pk, &rec, &mut rng).unwrap());
-    }
-    let query = Query::parse("illness = \"flu\"").unwrap();
-    let cap = system
-        .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
-        .unwrap();
-
-    // two scans: the registry accumulates across them
-    let (_, first) = server.scan(&cap).unwrap();
-    let (_, second) = server.scan(&cap).unwrap();
-    let snap = server.metrics_snapshot();
-
-    println!("```");
-    println!("{}", snap.render());
-    println!("```");
-    println!();
-    let measured = snap.counter("cloud.scan.pairings").unwrap_or(0);
-    let legacy = (first.pairings + second.pairings) as u64;
-    println!(
-        "pairing cross-check: telemetry {measured} vs SearchStats {legacy} — {}",
-        if measured == legacy {
-            "consistent"
-        } else {
-            "MISMATCH"
-        }
-    );
-
-    let path = std::env::var("APKS_METRICS_OUT").unwrap_or_else(|_| "metrics-snapshot.json".into());
-    match std::fs::write(&path, snap.to_json()) {
-        Ok(()) => println!("metrics JSON written to {path}"),
-        Err(e) => println!("could not write metrics JSON to {path}: {e}"),
-    }
-}
-
-/// Degraded-mode scan under a seeded fault plan vs the fault-free scan
-/// over the same corpus: overhead of retries/skips and the accounting
-/// the cloud returns instead of silently dropping documents.
-fn resilience_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
-    use apks_authz::IbsAuthority;
-    use apks_cloud::{CloudServer, WaveRequest};
-    use apks_core::fault::{FaultConfig, FaultContext, FaultPlan, RetryPolicy, VirtualClock};
-    use apks_core::{ApksSystem, Budget, Deadline, FieldValue, QueryPolicy, Record, Schema};
-
-    const DOCS: usize = 40;
-    println!();
-    println!("## Resilience — degraded scan under a seeded fault plan ({DOCS} documents)");
-    println!();
-
-    let schema = Schema::builder()
-        .flat_field("illness", 1)
-        .flat_field("sex", 1)
-        .build()
-        .unwrap();
-    let system = ApksSystem::new(params.clone(), schema);
-    let mut rng = StdRng::seed_from_u64(4000);
-    let (pk, msk) = system.setup(&mut rng);
-    let ibs = IbsAuthority::new(params.clone(), &mut rng);
-    let server = CloudServer::new(system.clone(), pk.clone(), ibs.public_params().clone());
-    let illnesses = ["flu", "diabetes", "cancer", "asthma"];
-    for i in 0..DOCS {
-        let rec = Record::new(vec![
-            FieldValue::text(illnesses[i % illnesses.len()]),
-            FieldValue::text(if i % 2 == 0 { "female" } else { "male" }),
-        ]);
-        server.upload(system.gen_index(&pk, &rec, &mut rng).unwrap());
-    }
-    let query = Query::parse("illness = \"flu\"").unwrap();
-    let cap = system
-        .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
-        .unwrap();
-
-    let (healthy, healthy_stats) = server.scan(&cap).unwrap();
-
-    let plan = FaultPlan::new(FaultConfig {
-        seed: 7,
-        poisoned_doc_permille: 100,
-        flaky_doc_permille: 200,
-        slow_doc_permille: 200,
-        ..FaultConfig::default()
     });
-    let policy = RetryPolicy::default();
-    let clock = VirtualClock::default();
-    let ctx = FaultContext::new(&plan, &policy, &clock);
-    let budget = Budget::unlimited();
-    let request = WaveRequest {
-        cap: &cap,
-        deadline: Deadline::NEVER,
-        budget: &budget,
-    };
-    let degraded = server.scan_wave(&[request], &ctx, 0).unwrap().remove(0);
-
-    println!("| mode | scanned | matched | skipped | retries | scan time |");
-    println!("|------|---------|---------|---------|---------|-----------|");
-    println!(
-        "| fault-free | {} | {} | 0 | 0 | {} |",
-        healthy_stats.scanned,
-        healthy.len(),
-        fmt_duration(Duration::from_micros(healthy_stats.scan_micros)),
-    );
-    println!(
-        "| degraded (poison 10% / flaky 20% / slow 20%) | {} | {} | {} | {} | {} |",
-        degraded.stats.scanned,
-        degraded.matches.len(),
-        degraded.stats.faulted_docs,
-        degraded.stats.retries,
-        fmt_duration(Duration::from_micros(degraded.stats.scan_micros)),
-    );
-    println!();
-    let subset = degraded.matches.iter().all(|id| healthy.contains(id));
-    println!(
-        "degraded matches ⊆ fault-free matches: {}; skipped documents reported explicitly: {:?}; virtual ticks charged: {}",
-        if subset { "yes" } else { "NO — BUG" },
-        degraded.faulted,
-        clock.now(),
+    row(
+        "8 queries on 4 capabilities, one index (n = 10)",
+        ("one wave of the 4 distinct", t_wave),
+        ("8 per-query prepared evaluations", t_per_query),
     );
 }

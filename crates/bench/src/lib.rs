@@ -78,11 +78,6 @@ impl BenchSystem {
         }
     }
 
-    /// The vector length `n`.
-    pub fn n(&self) -> usize {
-        self.system.n()
-    }
-
     /// A random Nursery record.
     pub fn random_record(&mut self) -> Record {
         let mut values: Vec<FieldValue> = NURSERY_ATTRIBUTES
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn bench_system_round_trips() {
         let mut b = BenchSystem::new(CurveParams::fast(), 1, 1);
-        assert_eq!(b.n(), 10);
+        assert_eq!(b.system.n(), 10);
         let idx = b.encrypt_one();
         let q = b.sparse_query(3);
         let cap = b.cap_for(&q);

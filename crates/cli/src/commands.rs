@@ -36,52 +36,83 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Minimal flag parser: `--name value` options plus positional arguments.
-struct Args {
-    options: Vec<(String, String)>,
-    flags: Vec<String>,
+/// The options (`--name value`) and flags (`--name`) one command takes,
+/// and whether it takes positional arguments. Anything else on its
+/// command line is an error.
+pub(crate) struct Spec {
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+    positional: bool,
+}
+
+impl Spec {
+    pub(crate) const fn new(
+        options: &'static [&'static str],
+        flags: &'static [&'static str],
+    ) -> Spec {
+        Spec {
+            options,
+            flags,
+            positional: false,
+        }
+    }
+
+    const fn with_positional(self) -> Spec {
+        Spec {
+            positional: true,
+            ..self
+        }
+    }
+}
+
+/// A command line parsed against its command's [`Spec`].
+pub(crate) struct Args {
+    options: Vec<(&'static str, String)>,
+    flags: Vec<&'static str>,
     positional: Vec<String>,
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Args, CliError> {
-        let mut options = Vec::new();
-        let mut flags = Vec::new();
-        let mut positional = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            if let Some(name) = a.strip_prefix("--") {
-                // boolean flags take no value
-                if matches!(
-                    name,
-                    "plus" | "finalize" | "points" | "json" | "overload" | "batch" | "replication"
-                ) {
-                    flags.push(name.to_string());
-                } else {
-                    i += 1;
-                    let value = args
-                        .get(i)
-                        .ok_or_else(|| CliError(format!("--{name} needs a value")))?;
-                    options.push((name.to_string(), value.clone()));
+    /// Parses `args` for `command`, refusing any option, flag or
+    /// positional argument that `spec` does not list.
+    pub(crate) fn parse(command: &str, args: &[String], spec: &Spec) -> Result<Args, CliError> {
+        let mut parsed = Args {
+            options: Vec::new(),
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                if !spec.positional {
+                    return Err(CliError(format!(
+                        "{command} takes no positional argument, got {a:?}"
+                    )));
                 }
+                parsed.positional.push(a.clone());
+                continue;
+            };
+            if let Some(&flag) = spec.flags.iter().find(|f| **f == name) {
+                parsed.flags.push(flag);
+            } else if let Some(&option) = spec.options.iter().find(|o| **o == name) {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| CliError(format!("--{name} needs a value")))?;
+                parsed.options.push((option, value.clone()));
             } else {
-                positional.push(a.clone());
+                return Err(CliError(format!(
+                    "{command} does not take --{name} (see `apks help`)"
+                )));
             }
-            i += 1;
         }
-        Ok(Args {
-            options,
-            flags,
-            positional,
-        })
+        Ok(parsed)
     }
 
-    fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.options
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, v)| v.as_str())
     }
 
@@ -90,26 +121,120 @@ impl Args {
             .ok_or_else(|| CliError(format!("missing required option --{name}")))
     }
 
-    fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+    /// `--name` parsed as a `T`, or `None` when it is absent; a value
+    /// that does not parse is an error naming the option.
+    pub(crate) fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| CliError(format!("--{name} {v:?}: {e}")))
+            })
+            .transpose()
+    }
+
+    /// Overwrites `field` with `--name` when it is given.
+    pub(crate) fn apply<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        field: &mut T,
+    ) -> Result<(), CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        if let Some(v) = self.parsed(name)? {
+            *field = v;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn has_flag(&self, name: &str) -> bool {
+        self.flags.contains(&name)
     }
 }
 
-const USAGE: &str = "\
+type Command = fn(&Args, &mut dyn std::io::Write) -> Result<(), CliError>;
+
+/// Every command but `sim`, which parses its scenario's own options.
+const COMMANDS: &[(&str, Spec, Command)] = &[
+    (
+        "setup",
+        Spec::new(&["schema", "out", "curve", "seed"], &["plus"]),
+        cmd_setup,
+    ),
+    (
+        "inspect",
+        Spec::new(&[], &[]).with_positional(),
+        cmd_inspect,
+    ),
+    (
+        "gen-index",
+        Spec::new(&["deploy", "record", "out", "seed"], &[]),
+        cmd_gen_index,
+    ),
+    (
+        "gen-cap",
+        Spec::new(
+            &["deploy", "query", "out", "min-dims", "seed"],
+            &["points", "finalize"],
+        ),
+        cmd_gen_cap,
+    ),
+    (
+        "delegate",
+        Spec::new(&["deploy", "cap", "query", "out", "seed"], &[]),
+        cmd_delegate,
+    ),
+    (
+        "search",
+        Spec::new(&["deploy", "cap"], &[]).with_positional(),
+        cmd_search,
+    ),
+    (
+        "transform",
+        Spec::new(&["deploy", "in", "out"], &[]),
+        cmd_transform,
+    ),
+    ("stats", Spec::new(&["docs", "seed"], &["json"]), cmd_stats),
+    (
+        "store-stats",
+        Spec::new(&["dir"], &["json"]),
+        cmd_store_stats,
+    ),
+    ("wire-sizes", Spec::new(&["seed"], &[]), cmd_wire_sizes),
+    ("demo", Spec::new(&["seed"], &[]), cmd_demo),
+];
+
+pub(crate) const USAGE: &str = "\
 usage: apks <command> [options]
 
 commands:
   setup      --schema <file> --out <deploy> [--plus] [--curve fast|standard] [--seed N]
   inspect    <deploy>
   gen-index  --deploy <deploy> --record \"f=v,...\" --out <file> [--seed N]
-  gen-cap    --deploy <deploy> --query \"...\" --out <file> [--min-dims N] [--finalize] [--seed N]
+  gen-cap    --deploy <deploy> --query \"...\" --out <file> [--min-dims N] [--points] [--finalize] [--seed N]
   delegate   --deploy <deploy> --cap <file> --query \"...\" --out <file> [--seed N]
   search     --deploy <deploy> --cap <file> <index-file>...
   transform  --deploy <deploy> --in <partial-index> --out <file>   (APKS+ proxy step)
-  stats      [--docs N] [--seed N] [--json] [--overload] [--batch] [--replication]   (scan an in-memory corpus, print telemetry)
+  stats      [--docs N] [--seed N] [--json]   (scan an in-memory corpus, print telemetry)
   store-stats --dir <path> [--json]   (inspect an on-disk paged segment store)
   wire-sizes [--seed N]   (print the canonical wire size of every protocol type)
+  sim        <scenario> [options] [--seed N] [--json] [--out <file>]   (run a virtual-tick scenario)
   demo       [--seed N]
+
+scenarios (seed 1 unless --seed; --json prints the metrics snapshot, --out writes it):
+  overload   saturating Zipf burst: admission, brown-out, breakers, p99 shed vs result
+  batched    the overload stream in micro-batched waves, plus the wave-depth series
+  framed     [--arrivals N] [--docs N] [--burst N] [--ticks-per-frame N] [--ticks-per-byte N]
+  shard      [--full] [--docs N] [--shards N] [--waves N] [--wave-size N] [--deadline N]
+             [--budget N] [--no-oracle] [--dir <path>]   (leaves its store in --dir)
+  hydrate    [--docs N] [--queries N] [--cache-bytes N] [--deadline N] [--budget N]
+             [--faulted] [--no-rescan] [--dir <path>]
+  chaos-net  [--docs N] [--partitions N] [--replication N] [--searches N] [--drop P]
+             [--corrupt P] [--duplicate P] [--crash-workloads N] [--crash-points N]
+             [--no-oracle] [--dir <path>]
 ";
 
 /// Entry point: dispatches on `args[0]` (the command).
@@ -121,32 +246,32 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
     let Some((cmd, rest)) = args.split_first() else {
         return Err(CliError(USAGE.into()));
     };
-    let parsed = Args::parse(rest)?;
     match cmd.as_str() {
-        "setup" => cmd_setup(&parsed, out),
-        "inspect" => cmd_inspect(&parsed, out),
-        "gen-index" => cmd_gen_index(&parsed, out),
-        "gen-cap" => cmd_gen_cap(&parsed, out),
-        "delegate" => cmd_delegate(&parsed, out),
-        "search" => cmd_search(&parsed, out),
-        "transform" => cmd_transform(&parsed, out),
-        "stats" => cmd_stats(&parsed, out),
-        "store-stats" => cmd_store_stats(&parsed, out),
-        "wire-sizes" => cmd_wire_sizes(&parsed, out),
-        "demo" => cmd_demo(&parsed, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
         }
-        other => Err(CliError(format!("unknown command {other:?}\n{USAGE}"))),
+        "sim" => crate::sim::run(rest, out),
+        other => {
+            let (name, spec, command) = COMMANDS
+                .iter()
+                .find(|(name, ..)| *name == other)
+                .ok_or_else(|| CliError(format!("unknown command {other:?}\n{USAGE}")))?;
+            command(&Args::parse(name, rest, spec)?, out)
+        }
     }
 }
 
-fn rng_from(args: &Args) -> StdRng {
-    match args.get("seed").and_then(|s| s.parse().ok()) {
+/// `--seed N` when given; entropy otherwise.
+fn rng_from(args: &Args) -> Result<StdRng, CliError> {
+    Ok(match args.parsed("seed")? {
         Some(seed) => StdRng::seed_from_u64(seed),
         None => StdRng::from_entropy(),
-    }
+    })
+}
+
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn load_deployment(path: &str) -> Result<(apks_core::ApksSystem, SavedDeployment), CliError> {
@@ -154,7 +279,7 @@ fn load_deployment(path: &str) -> Result<(apks_core::ApksSystem, SavedDeployment
     SavedDeployment::from_bytes(&bytes).map_err(Into::into)
 }
 
-fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
+pub(crate) fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     if let Some(parent) = Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -175,7 +300,7 @@ fn cmd_setup(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> 
         other => return Err(CliError(format!("unknown curve {other:?}"))),
     };
     let system = apks_core::ApksSystem::new(params.clone(), schema);
-    let mut rng = rng_from(args);
+    let mut rng = rng_from(args)?;
     let saved = if args.has_flag("plus") {
         let (pk, mk) = system.setup_plus(&mut rng);
         SavedDeployment::new_plus(&system, &pk, &mk)
@@ -228,7 +353,7 @@ fn cmd_gen_index(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliErr
     let (system, saved) = load_deployment(args.require("deploy")?)?;
     let record = parse_record(system.schema(), args.require("record")?)?;
     let out_path = args.require("out")?;
-    let mut rng = rng_from(args);
+    let mut rng = rng_from(args)?;
     let idx = system.gen_index(&saved.pk, &record, &mut rng)?;
     let mut w = Writer::new();
     idx.encode(system.params(), &mut w);
@@ -256,13 +381,10 @@ fn cmd_gen_cap(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError
     let query = Query::parse(args.require("query")?)?;
     let out_path = args.require("out")?;
     let policy = QueryPolicy {
-        min_dimensions: args
-            .get("min-dims")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1),
+        min_dimensions: args.parsed("min-dims")?.unwrap_or(1),
         max_total_or_terms: 0,
     };
-    let mut rng = rng_from(args);
+    let mut rng = rng_from(args)?;
     let cap = if args.has_flag("points") {
         system.gen_cap_via_points(&saved.pk, msk, &query, &policy, &mut rng)?
     } else {
@@ -298,7 +420,7 @@ fn cmd_delegate(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliErro
         .map_err(|e| CliError(format!("capability decode: {e}")))?;
     let query = Query::parse(args.require("query")?)?;
     let out_path = args.require("out")?;
-    let mut rng = rng_from(args);
+    let mut rng = rng_from(args)?;
     let child = system.delegate_cap(&saved.pk, &parent, &query, &mut rng)?;
     let mut w = Writer::new();
     child.encode(system.params(), &mut w);
@@ -368,17 +490,8 @@ fn cmd_stats(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> 
     use apks_cloud::CloudServer;
     use apks_core::{FieldValue, Record, Schema};
 
-    if args.has_flag("overload") {
-        return cmd_stats_overload(args, out);
-    }
-    if args.has_flag("batch") {
-        return cmd_stats_batch(args, out);
-    }
-    if args.has_flag("replication") {
-        return cmd_stats_replication(args, out);
-    }
-    let docs: usize = args.get("docs").and_then(|v| v.parse().ok()).unwrap_or(24);
-    let mut rng = rng_from(args);
+    let docs: usize = args.parsed("docs")?.unwrap_or(24);
+    let mut rng = rng_from(args)?;
 
     // an in-memory illness/sex deployment: enough to exercise the whole
     // upload → capability → scan path and show what the telemetry layer
@@ -474,11 +587,7 @@ fn cmd_store_stats(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliE
     let mut store =
         PagedStore::open(dir, header.schema_digest, config).map_err(|e| CliError(e.to_string()))?;
     let stats = store.stats().map_err(|e| CliError(e.to_string()))?;
-    let digest: String = header
-        .schema_digest
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
+    let digest = hex(&header.schema_digest);
     if args.has_flag("json") {
         writeln!(
             out,
@@ -531,7 +640,7 @@ fn cmd_wire_sizes(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliEr
     use apks_wire::protocol::{SearchRequest, SearchResponse};
     use apks_wire::{CiphertextRecord, IngestBatch, MetricsWire, Request, Response, Wire, WireCtx};
 
-    let mut rng = rng_from(args);
+    let mut rng = rng_from(args)?;
     let schema = Schema::builder()
         .flat_field("illness", 1)
         .flat_field("sex", 1)
@@ -644,187 +753,8 @@ fn cmd_wire_sizes(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliEr
     Ok(())
 }
 
-/// `apks stats --overload`: replay the deterministic overload scenario
-/// and print its admission, brown-out, breaker, and latency telemetry.
-fn cmd_stats_overload(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    use apks_sim::overload::{run_overload, OverloadConfig};
-
-    let config = OverloadConfig {
-        seed: args.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1),
-        ..OverloadConfig::default()
-    };
-    let r = run_overload(&config).map_err(|e| CliError(e.to_string()))?;
-    if args.has_flag("json") {
-        writeln!(out, "{}", r.metrics.to_json())?;
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "overload scenario (seed {}): {} arrivals over {} virtual ticks, {} docs",
-        config.seed, r.arrivals, r.virtual_ticks, r.docs_stored
-    )?;
-    writeln!(
-        out,
-        "admission: {} admitted, {} shed at the queue, {} browned out (max level {}), {} displaced by priority",
-        r.admitted, r.shed_queue_full, r.shed_brownout, r.max_brownout_level, r.displaced
-    )?;
-    writeln!(
-        out,
-        "degradation: {} deadline-expired, {} budget-exhausted, {} documents left unscanned",
-        r.deadline_expired, r.budget_exhausted, r.unscanned_docs
-    )?;
-    writeln!(out, "circuit breakers:")?;
-    for (id, state) in &r.breaker_states {
-        writeln!(out, "  {id}: {state}")?;
-    }
-    writeln!(
-        out,
-        "p99 time-to-shed {} ticks vs p99 time-to-result {} ticks",
-        r.time_to_shed_p99(),
-        r.scan_latency_p99()
-    )?;
-    Ok(())
-}
-
-/// `apks stats --batch`: replay the overload scenario in micro-batched
-/// admission mode and print the wave engine's `cloud.wave.*` telemetry —
-/// wave sizes, capability dedup, and amortized pairings per query.
-fn cmd_stats_batch(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    use apks_cloud::WaveConfig;
-    use apks_sim::overload::{run_overload_batched, OverloadConfig};
-
-    let config = OverloadConfig {
-        seed: args.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1),
-        ..OverloadConfig::default()
-    };
-    let wave = WaveConfig::default();
-    let r = run_overload_batched(&config, &wave).map_err(|e| CliError(e.to_string()))?;
-    if args.has_flag("json") {
-        writeln!(out, "{}", r.metrics.to_json())?;
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "batched overload scenario (seed {}, waves of {} within {} ticks): {} arrivals over {} virtual ticks, {} docs",
-        config.seed, wave.max_wave, wave.window_ticks, r.arrivals, r.virtual_ticks, r.docs_stored
-    )?;
-    writeln!(
-        out,
-        "admission: {} admitted, {} shed at the queue, {} browned out (max level {}), {} displaced by priority",
-        r.admitted, r.shed_queue_full, r.shed_brownout, r.max_brownout_level, r.displaced
-    )?;
-    writeln!(
-        out,
-        "degradation: {} deadline-expired, {} budget-exhausted, {} documents left unscanned",
-        r.deadline_expired, r.budget_exhausted, r.unscanned_docs
-    )?;
-    let m = &r.metrics;
-    let waves = m.counter("cloud.wave.scans").unwrap_or(0);
-    writeln!(
-        out,
-        "waves: {} dispatched ({} filled, {} window-expired, {} drained)",
-        waves,
-        m.counter("cloud.wave.flush.full").unwrap_or(0),
-        m.counter("cloud.wave.flush.window").unwrap_or(0),
-        m.counter("cloud.wave.flush.drain").unwrap_or(0),
-    )?;
-    if let Some(h) = m.histogram("cloud.wave.size") {
-        writeln!(
-            out,
-            "wave size: mean {} (p99<={}), {} duplicate evaluations shared",
-            h.sum / h.count.max(1),
-            h.quantile_upper_bound(0.99),
-            m.counter("cloud.wave.shared_evals").unwrap_or(0),
-        )?;
-    }
-    if let Some(h) = m.histogram("cloud.wave.amortized_pairings_per_query") {
-        writeln!(
-            out,
-            "amortized pairings per query: mean {} (p99<={}) across {} waves",
-            h.sum / h.count.max(1),
-            h.quantile_upper_bound(0.99),
-            h.count,
-        )?;
-    }
-    writeln!(out, "full wave ledger:")?;
-    for (name, metric) in m.entries() {
-        if name.starts_with("cloud.wave.") {
-            match metric {
-                apks_telemetry::Metric::Counter(v) => writeln!(out, "  {name}: {v}")?,
-                apks_telemetry::Metric::Histogram(h) => writeln!(
-                    out,
-                    "  {name}: count {} sum {} p50<={} p99<={}",
-                    h.count,
-                    h.sum,
-                    h.quantile_upper_bound(0.5),
-                    h.quantile_upper_bound(0.99),
-                )?,
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `apks stats --replication`: replay the chaos-net scenario — lossy
-/// framed link, replicated shards with a forced-open primary breaker,
-/// seeded crash sweep — and render the `cloud.replica.*` / `wire.*`
-/// counters the replication layer emits.
-fn cmd_stats_replication(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    use apks_sim::chaos_net::{run_chaos_net, ChaosNetConfig};
-
-    let config = ChaosNetConfig {
-        seed: args.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1),
-        ..ChaosNetConfig::default()
-    };
-    let dir = std::env::temp_dir().join(format!("apks-cli-replication-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let r = run_chaos_net(&config, &dir).map_err(|e| CliError(e.to_string()))?;
-    let _ = fs::remove_dir_all(&dir);
-    if args.has_flag("json") {
-        writeln!(out, "{}", r.metrics.to_json())?;
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "chaos-net scenario (seed {}): {} docs x {} partitions x {} replicas, {} search waves over {} virtual ticks",
-        config.seed, r.docs, r.partitions, r.replication, r.searches, r.virtual_ticks
-    )?;
-    writeln!(
-        out,
-        "link: {} dropped, {} corrupted, {} duplicated; {} client reconnects, {} ingest retries deduped (exactly-once)",
-        r.frames_dropped, r.frames_corrupted, r.frames_duplicated, r.reconnects, r.dedup_hits
-    )?;
-    writeln!(
-        out,
-        "failover: {} breaker-forced failovers, {} hits gathered, oracle byte-equal: {}, framed hit sets equal: {}",
-        r.failovers, r.hits_total, r.oracle_verified, r.framed_verified
-    )?;
-    writeln!(
-        out,
-        "durability: {} crash points, {} acknowledged puts checked, {} lost, {} reopen failures",
-        r.crash_points, r.acked_puts_checked, r.acked_puts_lost, r.reopen_failures
-    )?;
-    writeln!(out, "replication ledger:")?;
-    for (name, metric) in r.metrics.entries() {
-        if name.starts_with("cloud.replica.") || name.starts_with("wire.") {
-            match metric {
-                apks_telemetry::Metric::Counter(v) => writeln!(out, "  {name}: {v}")?,
-                apks_telemetry::Metric::Histogram(h) => writeln!(
-                    out,
-                    "  {name}: count {} sum {} p50<={} p99<={}",
-                    h.count,
-                    h.sum,
-                    h.quantile_upper_bound(0.5),
-                    h.quantile_upper_bound(0.99),
-                )?,
-            }
-        }
-    }
-    Ok(())
-}
-
 fn cmd_demo(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    let mut rng = rng_from(args);
+    let mut rng = rng_from(args)?;
     let schema =
         parse_schema("field age numeric 0 63 4 d=2\nfield sex flat d=1\nfield illness flat d=2")?;
     let system = apks_core::ApksSystem::new(apks_curve::CurveParams::fast(), schema);
@@ -852,17 +782,17 @@ fn cmd_demo(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn run_strs(args: &[&str]) -> Result<String, CliError> {
+    pub(crate) fn run_strs(args: &[&str]) -> Result<String, CliError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         let mut out = Vec::new();
         run(&owned, &mut out)?;
         Ok(String::from_utf8(out).unwrap())
     }
 
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
+    pub(crate) fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("apks-cli-test-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -1076,35 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_overload_reports_breakers_and_sheds() {
-        let out = run_strs(&["stats", "--overload", "--seed", "1"]).unwrap();
-        assert!(out.contains("overload scenario (seed 1)"));
-        assert!(out.contains("circuit breakers:"));
-        assert!(out.contains("proxy-0: "));
-        assert!(out.contains("p99 time-to-shed"));
-        // the same seed replays identically
-        let again = run_strs(&["stats", "--overload", "--seed", "1"]).unwrap();
-        assert_eq!(out, again);
-    }
-
-    #[test]
-    fn stats_batch_reports_wave_ledger() {
-        let out = run_strs(&["stats", "--batch", "--seed", "1"]).unwrap();
-        assert!(out.contains("batched overload scenario (seed 1"));
-        assert!(out.contains("waves: "));
-        assert!(out.contains("amortized pairings per query"));
-        assert!(out.contains("cloud.wave.scans"));
-        assert!(out.contains("cloud.wave.size"));
-        assert!(
-            !out.contains("cloud.scans"),
-            "batched mode must not touch the solo-scan ledger"
-        );
-        // the same seed replays identically
-        let again = run_strs(&["stats", "--batch", "--seed", "1"]).unwrap();
-        assert_eq!(out, again);
-    }
-
-    #[test]
     fn store_stats_reads_a_store_directory() {
         use apks_store::{PagedStore, StoreConfig};
 
@@ -1166,6 +1067,52 @@ mod tests {
         assert!(run_strs(&["setup", "--schema"]).is_err()); // missing value
         assert!(run_strs(&["setup", "--out", "x"]).is_err()); // missing schema
         assert!(run_strs(&["inspect", "/nonexistent/path"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_refused() {
+        let err = run_strs(&["stats", "--dcos", "6"]).unwrap_err();
+        assert!(err.0.contains("--dcos"), "got: {}", err.0);
+        let err = run_strs(&["wire-sizes", "--seed", "1", "--verbose"]).unwrap_err();
+        assert!(err.0.contains("--verbose"), "got: {}", err.0);
+        // a command without positional arguments refuses one too
+        assert!(run_strs(&["stats", "--json", "6"]).is_err());
+    }
+
+    #[test]
+    fn malformed_seed_is_refused() {
+        for cmd in ["stats", "demo", "wire-sizes"] {
+            let err = run_strs(&[cmd, "--seed", "abc"]).unwrap_err();
+            assert!(err.0.contains("--seed \"abc\""), "{cmd}: {}", err.0);
+        }
+        let err = run_strs(&["sim", "overload", "--seed", "-1"]).unwrap_err();
+        assert!(err.0.contains("--seed"), "got: {}", err.0);
+    }
+
+    #[test]
+    fn malformed_numeric_options_are_refused() {
+        let err = run_strs(&["stats", "--docs", "abc"]).unwrap_err();
+        assert!(err.0.contains("--docs \"abc\""), "got: {}", err.0);
+        let err = run_strs(&["sim", "framed", "--arrivals", "1e3"]).unwrap_err();
+        assert!(err.0.contains("--arrivals"), "got: {}", err.0);
+    }
+
+    #[test]
+    fn flags_of_other_commands_are_refused() {
+        for old in ["--overload", "--batch", "--replication"] {
+            let err = run_strs(&["stats", old]).unwrap_err();
+            assert!(err.0.contains("stats does not take"), "{old}: {}", err.0);
+        }
+        let err = run_strs(&["store-stats", "--dir", ".", "--plus"]).unwrap_err();
+        assert!(err.0.contains("--plus"), "got: {}", err.0);
+        let err = run_strs(&["sim", "overload", "--faulted"]).unwrap_err();
+        assert!(
+            err.0.contains("sim overload does not take --faulted"),
+            "got: {}",
+            err.0
+        );
+        assert!(run_strs(&["sim", "frobnicate"]).is_err());
+        assert!(run_strs(&["sim"]).is_err());
     }
 
     #[test]

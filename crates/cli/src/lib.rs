@@ -15,9 +15,14 @@
 //! apks search --deploy deploy.apks --cap cap.bin alice.idx bob.idx
 //! apks demo
 //! ```
+//!
+//! It is also the one way to run a virtual-tick scenario of `apks-sim`
+//! (`apks sim overload|batched|framed|shard|hydrate|chaos-net`). Each
+//! command refuses any option it does not take.
 
 pub mod commands;
 pub mod record;
 pub mod schema_dsl;
+mod sim;
 
 pub use commands::{run, CliError};

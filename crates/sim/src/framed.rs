@@ -10,7 +10,7 @@
 //! the serialization layer must be a *transparent* transport. With a
 //! non-zero cost, the transport charges the shared virtual clock per
 //! frame and per byte, and network time starts counting against each
-//! request's deadline, which is the experiment the loadgen binary runs.
+//! request's deadline, which is the experiment `apks sim framed` runs.
 
 use crate::overload::{
     build_world, OverloadConfig, OverloadReport, RequestOutcome, RequestRecord, World,

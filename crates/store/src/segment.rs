@@ -496,10 +496,27 @@ impl Iterator for CellIter {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("apks-segment-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("seg.apks")
+    /// A fresh per-test directory, removed with everything in it on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> TempDir {
+            let dir =
+                std::env::temp_dir().join(format!("apks-segment-{}-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn segment(&self) -> PathBuf {
+            self.0.join("seg.apks")
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn put(id: u64, len: usize) -> Cell {
@@ -529,7 +546,8 @@ mod tests {
 
     #[test]
     fn write_read_many_pages() {
-        let path = tmp("roundtrip");
+        let dir = TempDir::new("roundtrip");
+        let path = dir.segment();
         let digest = [3u8; 32];
         let mut w = SegmentWriter::create(&path, 5, digest, 256).unwrap();
         let cells: Vec<Cell> = (0..100).map(|i| put(i, 40)).collect();
@@ -547,27 +565,26 @@ mod tests {
         assert_eq!(back, cells);
         assert!(!iter.torn_tail());
         assert_eq!(iter.pages_read(), info.pages);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn wrong_schema_digest_refused_at_open() {
-        let path = tmp("digest");
+        let dir = TempDir::new("digest");
+        let path = dir.segment();
         let w = SegmentWriter::create(&path, 1, [1u8; 32], 256).unwrap();
         w.finish().unwrap();
         assert_eq!(
             SegmentReader::open(&path, Some(&[2u8; 32])).err(),
             Some(StoreError::SchemaDigestMismatch)
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn oversized_cell_refused() {
-        let path = tmp("oversize");
+        let dir = TempDir::new("oversize");
+        let path = dir.segment();
         let mut w = SegmentWriter::create(&path, 1, [0u8; 32], 256).unwrap();
         let err = w.append(&put(1, 1000)).unwrap_err();
         assert!(matches!(err, StoreError::CellTooLarge { .. }), "{err:?}");
-        std::fs::remove_file(&path).unwrap();
     }
 }
